@@ -23,6 +23,7 @@ __all__ = [
     "rational",
     "format_coeff",
     "is_exact",
+    "divide",
     "scalar_exp",
     "scalar_log",
     "scalar_sqrt",
@@ -62,6 +63,13 @@ def format_coeff(value) -> str:
 
 def is_exact(value) -> bool:
     return isinstance(value, (int, Fraction))
+
+
+def divide(x, y):
+    """``x / y``, except that ``int / int`` stays exact as a ``Fraction``."""
+    if isinstance(x, int) and isinstance(y, int):
+        return Fraction(x, y)
+    return x / y
 
 
 def _exact_sqrt(q: Fraction) -> Fraction:

@@ -7,24 +7,34 @@ is linear and obeys the Leibniz rule, and the arithmetic below realizes
 both co-recursively, so the derivatives compute themselves as the
 expression is manipulated. No expression tree is kept.
 
+Element k is the k-th derivative itself, not the Taylor coefficient
+e^(k)/k!, which would underflow a float past k = 170. The linear
+operations work elementwise. A product computes its element n from the
+memoized prefixes of its operands by the Leibniz sum
+``sum_k comb(n, k) a_k b_(n-k)``, a quotient solves that sum for its own
+element n, and the tail of either is the next node of the same chain.
+Every other function is a co-recursion over products and quotients, so n
+elements of any tower cost O(n^2) operations. In float towers the weights
+comb(n, k) leave the float range near n = 1030, where a product raises
+``OverflowError``.
+
 Constants get the compact :meth:`Dif.const` form (a value followed by
 zeros); the differentiation variable at a point x0 is ``Dif.var(x0)``,
 the chain ``[x0, 1, 0, 0, ...]``. Plain numbers lift to constants
 automatically in mixed arithmetic.
 
-Division has a deliberate quirk, inherited from the limit it implements:
-when both numerator and denominator have value 0, the quotient of the
-shifted towers is returned. Its *value* is the correct limit of the
-ratio, but the remaining elements are not the derivative tower of the
-extended quotient function; only the value is contractual.
+When numerator and denominator both have value 0, division returns the
+tower of the extended quotient: near the point a = x*A, where element k
+of A is element k+1 of a divided by k+1, likewise b = x*B, and a/b = A/B.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
 
 from .cells import LazyPair
 from .coeffs import (
+    divide,
     scalar_asin,
     scalar_atan,
     scalar_cos,
@@ -118,19 +128,19 @@ class Dif(LazyPair):
             return b.scale(a.value)
         if isinstance(b, _Const):
             return a.scale(b.value)
-        # Leibniz: (a*b)' = a*b' + a'*b
-        return Dif(lambda: a.value * b.value,
-                   lambda: a * b.tail + a.tail * b)
+        pa = _Prefix(a)
+        pb = pa if b is a else _Prefix(b)
+
+        def element(n):
+            return _leibniz(n, pa.upto(n), pb.upto(n), range(n + 1))
+
+        return _chain(element)
 
     __rmul__ = __mul__
 
     def sqr(self) -> "Dif":
-        """self * self with the shared-factor form 2*(tail*whole) for the tail."""
-        if isinstance(self, _Const):
-            return _Const(self.value * self.value)
-        a = self
-        return Dif(lambda: a.value * a.value,
-                   lambda: (a.tail * a).scale(2))
+        """self * self."""
+        return self * self
 
     def recip(self) -> "Dif":
         """Multiplicative inverse; requires a nonzero value."""
@@ -154,16 +164,23 @@ class Dif(LazyPair):
                     return ZERO_TOWER
                 raise ZeroDivisionError("division by a zero tower")
             return a.scale(scalar_recip(b.value))
-        x, y = a.value, b.value
-        if y == 0:
-            if x == 0:
-                # The limit of the ratio; see the module note.
-                return a.tail / b.tail
+        if b.value == 0:
+            if a.value == 0:
+                # The extended quotient; see the module note.
+                return _lowered(a) / _lowered(b)
             raise ZeroDivisionError(
                 "pole: division by a tower with zero value"
             )
-        w = Dif(lambda: _num_div(x, y),
-                lambda: a.tail / b - w * (b.tail / b))
+        pa, pb = _Prefix(a), _Prefix(b)
+
+        def element(n):
+            # b_0 q_n = a_n - sum_{k>=1} comb(n, k) b_k q_(n-k)
+            y = pb.upto(n)
+            rest = _leibniz(n, y, pq.upto(n - 1), range(1, n + 1))
+            return divide(pa.upto(n)[n] - rest, y[0])
+
+        w = _chain(element)
+        pq = _Prefix(w)
         return w
 
     def __rtruediv__(self, other):
@@ -198,14 +215,12 @@ class Dif(LazyPair):
     def sin(self) -> "Dif":
         if isinstance(self, _Const):
             return _Const(scalar_sin(self.value))
-        a = self
-        return Dif.cons(scalar_sin(a.value), lambda: a.tail * a.cos())
+        return _sin_cos(self)[0]
 
     def cos(self) -> "Dif":
         if isinstance(self, _Const):
             return _Const(scalar_cos(self.value))
-        a = self
-        return Dif.cons(scalar_cos(a.value), lambda: -(a.tail * a.sin()))
+        return _sin_cos(self)[1]
 
     def atan(self) -> "Dif":
         if isinstance(self, _Const):
@@ -251,13 +266,6 @@ ZERO_TOWER = _make_zero_tower()
 _NUMBER_TYPES = (int, float, complex)
 
 
-def _num_div(x, y):
-    # Keep int/int exact; everything else divides natively.
-    if isinstance(x, int) and isinstance(y, int):
-        return Fraction(x, y)
-    return x / y
-
-
 def _lift(x):
     if isinstance(x, Dif):
         return x
@@ -266,16 +274,75 @@ def _lift(x):
     return NotImplemented
 
 
+class _Prefix:
+    """The elements of a tower read so far, each forced once and kept in a list."""
+
+    __slots__ = ("_node", "_values")
+
+    def __init__(self, tower):
+        self._node = tower
+        self._values = []
+
+    def upto(self, n):
+        """The list of elements 0..n (longer if more were read before)."""
+        values, node = self._values, self._node
+        while len(values) <= n:
+            node = node.tail if values else node
+            values.append(node.head)
+            self._node = node
+        return values
+
+
+@lru_cache(maxsize=16)
+def _binomials(n):
+    # Row n of Pascal's triangle. Forcing in order asks for the same few
+    # rows many times, and math.comb is slow for large n.
+    row = [1]
+    for k in range(n):
+        row.append(row[-1] * (n - k) // (k + 1))
+    return tuple(row)
+
+
+def _leibniz(n, x, y, ks):
+    # The Leibniz terms comb(n, k) * x_k * y_(n-k) for k in ks, summed.
+    c = _binomials(n)
+    return sum(c[k] * x[k] * y[n - k] for k in ks)
+
+
+def _chain(element, n=0):
+    # The tower whose element n is element(n): one memoized node per index,
+    # each tail the next node of the same chain.
+    return Dif(lambda: element(n), lambda: _chain(element, n + 1))
+
+
+def _lowered(a):
+    # A with a = a0 + x*A near the point: element k is a_(k+1) / (k+1).
+    if isinstance(a, _Const):
+        return ZERO_TOWER
+    pa = _Prefix(a)
+    return _chain(lambda k: divide(pa.upto(k + 1)[k + 1], k + 1))
+
+
+def _sin_cos(a):
+    # The coupled pair s' = a' c, c' = -a' s, built once so that each
+    # product shares the prefix of the other function.
+    s = Dif.cons(scalar_sin(a.value), lambda: a.tail * c)
+    c = Dif.cons(scalar_cos(a.value), lambda: -(a.tail * s))
+    return s, c
+
+
 # -- showcase towers ------------------------------------------------------
 
 
 def damped_sine(x: Dif) -> Dif:
     """Tower of sin(x) * exp(-x) for a variable tower ``x`` (derivative 1).
 
-    Applying the Leibniz rule blindly makes the n-th derivative cost grow
-    exponentially; sine and cosine generate the same terms with alternating
-    signs, so a coupled pair of linear co-recursions produces element n in
-    O(n) work instead.
+    Sine and cosine generate the same terms with alternating signs, so a
+    coupled pair of linear co-recursions produces element n in O(1) work
+    from element n-1, with no binomial weights. It therefore costs O(n)
+    for n elements, against O(n^2) for ``x.sin() * (-x).exp()``, and
+    reaches elements past n = 1030, where the weights of that product
+    overflow a float.
     """
     x0 = x.value
     decay = scalar_exp(-x0)
@@ -304,13 +371,7 @@ def taylor_from_tower(d: Dif) -> Series:
     def go(node, k, fact):
         if node is ZERO_TOWER:
             return SERIES_ZERO
-        return Series(lambda: _by_factorial(node.value, fact),
+        return Series(lambda: divide(node.value, fact),
                       lambda: go(node.tail, k + 1, fact * (k + 1)))
 
     return go(d, 0, 1)
-
-
-def _by_factorial(x, fact):
-    if isinstance(x, int):
-        return Fraction(x, fact)
-    return x / fact

@@ -27,6 +27,7 @@ from typing import Callable
 
 from .cells import LazyPair
 from .coeffs import (
+    divide,
     scalar_cos,
     scalar_exp,
     scalar_log,
@@ -36,19 +37,6 @@ from .coeffs import (
 )
 
 __all__ = ["Series", "ZERO", "sint", "transpose"]
-
-
-def _div(a, b):
-    # Coefficient division that keeps int/int exact.
-    if isinstance(a, int) and isinstance(b, int):
-        return Fraction(a, b)
-    return a / b
-
-
-def _div_by_int(x, n):
-    if isinstance(x, int):
-        return Fraction(x, n)
-    return x / n
 
 
 def _invertible(c):
@@ -181,7 +169,7 @@ class Series(LazyPair):
             if self is ZERO:
                 return ZERO
             u = self
-            w = Series(lambda: _div(u.head, v.head),
+            w = Series(lambda: divide(u.head, v.head),
                        lambda: (u.tail - v.tail.scale(w.head)) / v)
             return w
         c = Fraction(other) if isinstance(other, int) else other
@@ -383,7 +371,7 @@ def _diff_scaled_rest(t, k):
 def _integral_tail(u, k):
     if u is ZERO:
         return ZERO
-    return Series(lambda: _div_by_int(u.head, k),
+    return Series(lambda: divide(u.head, k),
                   lambda: _integral_rest(u, k))
 
 

@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -134,3 +137,14 @@ def test_audio_error_leaves_no_file(tmp_path, capsys):
     capsys.readouterr()
     assert not target.exists()
     assert not (tmp_path / "missing").exists()
+
+
+def test_lambertw_past_float_binomials_exits_2():
+    # Past n = 1030 the Leibniz weights comb(n, k) no longer fit in a float.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "corec", "lambertw", "--n", "1100"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")

@@ -86,6 +86,16 @@ def test_division_pole_error():
         (Dif.var(0.0) + 1) / Dif.var(0.0)
 
 
+def test_division_zero_over_zero_is_tower_of_extended_quotient():
+    # sin(x)/x = 1 - x^2/3! + x^4/5! - ...: derivatives 1, 0, -1/3, 0, 1/5
+    x = Dif.var(0.0)
+    assert close((x.sin() / x).elements(5), [1, 0, -1 / 3, 0, 1 / 5], 1e-15)
+    assert (x * x / x).elements(4) == [0, 1, 0, 0]
+    # x^3 / x^2 = x, exactly, through two levels of the extended quotient
+    x = Dif.var(0)
+    assert ((x * x * x) / (x * x)).elements(4) == [0, 1, 0, 0]
+
+
 def test_division_zero_over_zero_towers():
     assert (Dif.const(0) / Dif.const(0)).elements(4) == [0, 0, 0, 0]
 
@@ -236,6 +246,25 @@ def test_lambert_magnitudes():
     w = lambert_w_tower().elements(9)
     for n in range(1, 9):
         assert abs(abs(w[n]) - n ** (n - 1)) <= 1e-6 * n ** (n - 1)
+
+
+def test_lambert_thirty_elements_closed_form():
+    w = lambert_w_tower().elements(30)
+    assert w[0] == 0.0
+    for n in range(1, 30):
+        exact = (-n) ** (n - 1)
+        assert abs(w[n] - exact) <= 1e-12 * abs(exact)
+
+
+def test_exact_towers_stay_fraction():
+    x = Dif.var(Fraction(1, 3))
+    u = x * x / (x + 1) - (x.sqr() + 2).recip()
+    got = u.elements(8)
+    assert all(isinstance(v, Fraction) for v in got)
+    # u = x^2/(x+1) - 1/(x^2+2), exactly, by the Taylor coefficients at 1/3
+    t = Series.from_list([Fraction(1, 3), 1])
+    direct = (t * t / (t + 1) - Series.from_list([1]) / (t * t + 2)).coefficients(8)
+    assert got == [c * math.factorial(k) for k, c in enumerate(direct)]
 
 
 def test_lambert_signs_against_reversion_oracle():
