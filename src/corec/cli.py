@@ -10,8 +10,9 @@ One subcommand per showcase area::
                      [--seed K] [--len L] [--b B] [--m M]
 
 Exit status: 0 on success, 1 on a usage error, 2 on a computation error
-(domain violations, non-productive definitions, I/O failures). Identical
-invocations produce byte-identical output.
+(domain violations, non-productive definitions, I/O failures, floats
+that leave the float range). Identical invocations produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -92,14 +93,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _formatted(values, name="element") -> list:
+    """The values as text; a float that is not finite is an error."""
+    for k, v in enumerate(values):
+        if isinstance(v, float) and not math.isfinite(v):
+            raise OverflowError("%s %d is %r, not a finite float"
+                                % (name, k, v))
+    return [format_coeff(v) for v in values]
+
+
 def _emit_values(values, csv: bool) -> None:
+    text = _formatted(values)
     if csv:
         print("index,value")
-        for k, v in enumerate(values):
-            print("%d,%s" % (k, format_coeff(v)))
+        for k, v in enumerate(text):
+            print("%d,%s" % (k, v))
     else:
-        for v in values:
-            print(format_coeff(v))
+        for v in text:
+            print(v)
 
 
 def _run_series(args) -> int:
@@ -125,12 +136,12 @@ def _run_qft(args) -> int:
 
 def _run_wkb(args) -> int:
     result = wkb_expand(airy_s0_prime(args.x0), args.orders)
-    u_vals = result.u_main.take(args.orders)
-    v_vals = result.v_prime_main.take(args.orders)
+    u_vals = _formatted(result.u_main.take(args.orders), "u_main element")
+    v_vals = _formatted(result.v_prime_main.take(args.orders),
+                        "v_prime_main element")
     print("index,u_main,v_prime_main")
     for k in range(args.orders):
-        print("%d,%s,%s" % (k, format_coeff(u_vals[k]),
-                            format_coeff(v_vals[k])))
+        print("%d,%s,%s" % (k, u_vals[k], v_vals[k]))
     return 0
 
 

@@ -8,9 +8,11 @@ freely with both and are treated as exact.
 Exact values stay exact: magnitudes are unbounded, results are always
 reduced with a positive denominator, and the elementary functions below
 refuse an exact argument unless the result is itself exact (for example
-``exp 0``, ``log 1``, or the square root of a perfect square). Derivative
-towers supply their own elementary-function co-recursions and are
-dispatched to their methods.
+``exp 0``, ``log 1``, or the square root of a perfect square).
+``scalar_exp/log/sin/cos/atan/asin`` come from one factory, each with its
+one exact argument that has an exact result. Series and derivative towers
+are dispatched to their own methods, which both inherit from
+:class:`corec.series.Analytic`.
 """
 
 from __future__ import annotations
@@ -86,26 +88,33 @@ def _exact_sqrt(q: Fraction) -> Fraction:
 
 # Scalar elementary functions with three-way dispatch: exact values are
 # accepted only where the result stays exact, floats go to math.*, and
-# anything carrying its own method (derivative towers) handles itself.
+# anything carrying its own method (series, derivative towers) handles
+# itself.
 
-def scalar_exp(x):
-    if is_exact(x):
-        if x == 0:
-            return 1
-        raise ValueError("exp of a nonzero exact value is irrational")
-    if hasattr(x, "exp"):
-        return x.exp()
-    return math.exp(x)
+def _scalar(name, point, value):
+    # scalar_<name>, whose one exact argument with an exact result is
+    # ``point``, where it is ``value``.
+    float_fn = getattr(math, name)
+
+    def scalar(x):
+        if is_exact(x):
+            if x == point:
+                return value
+            raise ValueError("%s of an exact value other than %s is irrational"
+                             % (name, point))
+        method = getattr(x, name, None)
+        return float_fn(x) if method is None else method()
+
+    scalar.__name__ = scalar.__qualname__ = "scalar_" + name
+    return scalar
 
 
-def scalar_log(x):
-    if is_exact(x):
-        if x == 1:
-            return 0
-        raise ValueError("log of an exact value other than 1 is irrational")
-    if hasattr(x, "log"):
-        return x.log()
-    return math.log(x)
+scalar_exp = _scalar("exp", 0, 1)
+scalar_log = _scalar("log", 1, 0)
+scalar_sin = _scalar("sin", 0, 0)
+scalar_cos = _scalar("cos", 0, 1)
+scalar_atan = _scalar("atan", 0, 0)
+scalar_asin = _scalar("asin", 0, 0)
 
 
 def scalar_sqrt(x):
@@ -114,46 +123,6 @@ def scalar_sqrt(x):
     if hasattr(x, "sqrt"):
         return x.sqrt()
     return math.sqrt(x)
-
-
-def scalar_sin(x):
-    if is_exact(x):
-        if x == 0:
-            return 0
-        raise ValueError("sin of a nonzero exact value is irrational")
-    if hasattr(x, "sin"):
-        return x.sin()
-    return math.sin(x)
-
-
-def scalar_cos(x):
-    if is_exact(x):
-        if x == 0:
-            return 1
-        raise ValueError("cos of a nonzero exact value is irrational")
-    if hasattr(x, "cos"):
-        return x.cos()
-    return math.cos(x)
-
-
-def scalar_atan(x):
-    if is_exact(x):
-        if x == 0:
-            return 0
-        raise ValueError("atan of a nonzero exact value is irrational")
-    if hasattr(x, "atan"):
-        return x.atan()
-    return math.atan(x)
-
-
-def scalar_asin(x):
-    if is_exact(x):
-        if x == 0:
-            return 0
-        raise ValueError("asin of a nonzero exact value is irrational")
-    if hasattr(x, "asin"):
-        return x.asin()
-    return math.asin(x)
 
 
 def scalar_pow(x, a):

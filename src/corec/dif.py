@@ -13,10 +13,13 @@ operations work elementwise. A product computes its element n from the
 memoized prefixes of its operands by the Leibniz sum
 ``sum_k comb(n, k) a_k b_(n-k)``, a quotient solves that sum for its own
 element n, and the tail of either is the next node of the same chain.
-Every other function is a co-recursion over products and quotients, so n
-elements of any tower cost O(n^2) operations. In float towers the weights
-comb(n, k) leave the float range near n = 1030, where a product raises
-``OverflowError``.
+The elementary functions (exp, log, sqrt, pow, sin, cos, atan, asin,
+recip) are inherited from :class:`corec.series.Analytic`, which defines
+each once for series and towers as a co-recursion over products and
+quotients, so n elements of any tower cost O(n^2) operations. In float
+towers the weights comb(n, k) leave the float range near n = 1030, where a
+product raises ``OverflowError``. Exact towers stay exact, square roots
+included, and sqrt and pow need a nonzero value.
 
 Constants get the compact :meth:`Dif.const` form (a value followed by
 zeros); the differentiation variable at a point x0 is ``Dif.var(x0)``,
@@ -25,34 +28,37 @@ automatically in mixed arithmetic.
 
 When numerator and denominator both have value 0, division returns the
 tower of the extended quotient: near the point a = x*A, where element k
-of A is element k+1 of a divided by k+1, likewise b = x*B, and a/b = A/B.
+of A is element k+1 of a divided by k+1, likewise b = x*B, and a/b = A/B,
+lowered again while both values stay 0. Towers that both vanish to order
+1000 raise ``ZeroDivisionError`` as an indeterminate 0/0.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .cells import LazyPair
-from .coeffs import (
-    divide,
-    scalar_asin,
-    scalar_atan,
-    scalar_cos,
-    scalar_exp,
-    scalar_log,
-    scalar_recip,
-    scalar_sin,
-    scalar_sqrt,
-)
-from .series import Series, ZERO as SERIES_ZERO
+from .coeffs import divide, scalar_cos, scalar_exp, scalar_recip, scalar_sin
+from .series import Analytic, Series, ZERO as SERIES_ZERO
 
 __all__ = ["Dif", "ZERO_TOWER", "damped_sine", "lambert_w_tower", "taylor_from_tower"]
 
 
-class Dif(LazyPair):
+#: Orders of vanishing tried before a 0/0 of two towers is given up.
+_MAX_LOWERINGS = 1000
+
+
+class Dif(Analytic):
     """A value and, lazily, all of its derivatives."""
 
     __slots__ = ()
+
+    @classmethod
+    def _constant(cls, value):
+        return _Const(value)
+
+    @classmethod
+    def _solve(cls, value, derivative):
+        return Dif.cons(value, derivative)
 
     @classmethod
     def const(cls, value) -> "Dif":
@@ -73,6 +79,8 @@ class Dif(LazyPair):
     def deriv(self) -> "Dif":
         """The derivative tower: element k of the result is element k+1 here."""
         return self.tail
+
+    _derivation = deriv
 
     def elements(self, n: int) -> list:
         return self.take(n)
@@ -142,17 +150,6 @@ class Dif(LazyPair):
         """self * self."""
         return self * self
 
-    def recip(self) -> "Dif":
-        """Multiplicative inverse; requires a nonzero value."""
-        if isinstance(self, _Const):
-            return _Const(scalar_recip(self.value))
-        a = self
-        if a.value == 0:
-            raise ZeroDivisionError("recip of a tower with zero value")
-        ip = Dif(lambda: scalar_recip(a.value),
-                 lambda: -(a.tail * ip.sqr()))
-        return ip
-
     def __truediv__(self, other):
         other = _lift(other)
         if other is NotImplemented:
@@ -166,8 +163,7 @@ class Dif(LazyPair):
             return a.scale(scalar_recip(b.value))
         if b.value == 0:
             if a.value == 0:
-                # The extended quotient; see the module note.
-                return _lowered(a) / _lowered(b)
+                return _extended_quotient(a, b)
             raise ZeroDivisionError(
                 "pole: division by a tower with zero value"
             )
@@ -189,58 +185,13 @@ class Dif(LazyPair):
             return NotImplemented
         return other / self
 
-    # -- elementary functions ---------------------------------------------
-
-    def exp(self) -> "Dif":
-        if isinstance(self, _Const):
-            return _Const(scalar_exp(self.value))
-        a = self
-        w = Dif.cons(scalar_exp(a.value), lambda: a.tail * w)
-        return w
-
-    def log(self) -> "Dif":
-        if isinstance(self, _Const):
-            return _Const(scalar_log(self.value))
-        a = self
-        return Dif.cons(scalar_log(a.value), lambda: a.tail / a)
-
-    def sqrt(self) -> "Dif":
-        if isinstance(self, _Const):
-            return _Const(scalar_sqrt(self.value))
-        a = self
-        w = Dif.cons(scalar_sqrt(a.value),
-                     lambda: (a.tail / w).scale(0.5))
-        return w
-
-    def sin(self) -> "Dif":
-        if isinstance(self, _Const):
-            return _Const(scalar_sin(self.value))
-        return _sin_cos(self)[0]
-
-    def cos(self) -> "Dif":
-        if isinstance(self, _Const):
-            return _Const(scalar_cos(self.value))
-        return _sin_cos(self)[1]
-
-    def atan(self) -> "Dif":
-        if isinstance(self, _Const):
-            return _Const(scalar_atan(self.value))
-        a = self
-        return Dif.cons(scalar_atan(a.value),
-                        lambda: a.tail / (a.sqr() + 1))
-
-    def asin(self) -> "Dif":
-        if isinstance(self, _Const):
-            return _Const(scalar_asin(self.value))
-        a = self
-        return Dif.cons(scalar_asin(a.value),
-                        lambda: a.tail / (1 - a.sqr()).sqrt())
-
 
 class _Const(Dif):
     """Value followed by zeros, kept compact."""
 
     __slots__ = ()
+
+    _compact = True
 
     def __init__(self, value):
         self._hs = 2  # forced
@@ -315,20 +266,31 @@ def _chain(element, n=0):
     return Dif(lambda: element(n), lambda: _chain(element, n + 1))
 
 
-def _lowered(a):
-    # A with a = a0 + x*A near the point: element k is a_(k+1) / (k+1).
+def _extended_quotient(a, b):
+    # a / b where both values are 0: with k the first order at which a or b
+    # is nonzero, a = x^k A and b = x^k B near the point, and a/b = A/B.
+    pa, pb = _Prefix(a), _Prefix(b)
+    for k in range(1, _MAX_LOWERINGS + 1):
+        if pa.upto(k)[k] != 0 or pb.upto(k)[k] != 0:
+            return _lowered(a, pa, k) / _lowered(b, pb, k)
+    raise ZeroDivisionError(
+        "indeterminate 0/0: both towers vanish to order %d" % _MAX_LOWERINGS
+    )
+
+
+def _lowered(a, pa, k):
+    # A with a = x^k A near the point: element i is a_(i+k) i! / (i+k)!,
+    # divided one factor at a time as k single lowerings would.
     if isinstance(a, _Const):
         return ZERO_TOWER
-    pa = _Prefix(a)
-    return _chain(lambda k: divide(pa.upto(k + 1)[k + 1], k + 1))
 
+    def element(i):
+        v = pa.upto(i + k)[i + k]
+        for j in range(i + k, i, -1):
+            v = divide(v, j)
+        return v
 
-def _sin_cos(a):
-    # The coupled pair s' = a' c, c' = -a' s, built once so that each
-    # product shares the prefix of the other function.
-    s = Dif.cons(scalar_sin(a.value), lambda: a.tail * c)
-    c = Dif.cons(scalar_cos(a.value), lambda: -(a.tail * s))
-    return s, c
+    return _chain(element)
 
 
 # -- showcase towers ------------------------------------------------------

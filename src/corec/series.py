@@ -18,6 +18,10 @@ powers of x), and the elementary functions are defined by their integral
 equations, e.g. ``W = exp U`` satisfies ``W = exp(u0) + integral(W * U')``.
 Equality of series is deliberately not an operation; tests and callers
 compare finite coefficient windows.
+
+The elementary functions live on :class:`Analytic`, the base class that
+series share with derivative towers (:class:`corec.dif.Dif`): both are
+differential algebras, so one definition of each function serves both.
 """
 
 from __future__ import annotations
@@ -28,15 +32,20 @@ from typing import Callable
 from .cells import LazyPair
 from .coeffs import (
     divide,
+    scalar_asin,
+    scalar_atan,
     scalar_cos,
     scalar_exp,
     scalar_log,
     scalar_pow,
+    scalar_recip,
     scalar_sin,
     scalar_sqrt,
 )
 
-__all__ = ["Series", "ZERO", "sint", "transpose"]
+__all__ = ["Analytic", "Series", "ZERO", "sint", "transpose"]
+
+_HALF = Fraction(1, 2)
 
 
 def _invertible(c):
@@ -46,10 +55,91 @@ def _invertible(c):
     return not (lead == 0)
 
 
-class Series(LazyPair):
+class Analytic(LazyPair):
+    """The elementary functions of a differential algebra, defined once.
+
+    Each function of ``a`` is the w whose value is the scalar function of
+    the value of ``a`` and whose derivative is an expression in a' and w;
+    ``exp a`` is the w with w' = a' * w. A subclass supplies its derivation
+    ``_derivation()``, ``_solve(value, derivative)`` that builds w from its
+    value and a thunk for w', and its compact constants (``_compact`` and
+    ``_constant(value)``), on which only the value is mapped.
+    """
+
+    __slots__ = ()
+
+    _compact = False
+
+    def _define(self, value, derivative):
+        # The w with this value and w' = derivative(a', w).
+        if self._compact:
+            return self._constant(value)
+        a = self
+        w = a._solve(value, lambda: derivative(a._derivation(), w))
+        return w
+
+    def _nonzero(self, name):
+        if not _invertible(self.head):
+            raise ValueError("%s: the value must be nonzero" % name)
+
+    def exp(self):
+        return self._define(scalar_exp(self.head), lambda da, w: da * w)
+
+    def log(self):
+        return self._define(scalar_log(self.head), lambda da, w: da / self)
+
+    def sqrt(self):
+        self._nonzero("sqrt")
+        return self._define(scalar_sqrt(self.head),
+                            lambda da, w: (da / w) * _HALF)
+
+    def pow(self, e):
+        """self ** e for a scalar exponent ``e``."""
+        self._nonzero("pow")
+        return self._define(scalar_pow(self.head, e),
+                            lambda da, w: (da * w / self) * e)
+
+    def atan(self):
+        return self._define(scalar_atan(self.head),
+                            lambda da, w: da / (self * self + 1))
+
+    def asin(self):
+        return self._define(scalar_asin(self.head),
+                            lambda da, w: da / (1 - self * self).sqrt())
+
+    def recip(self):
+        """Multiplicative inverse; the value must be invertible."""
+        return self._define(scalar_recip(self.head),
+                            lambda da, w: -(da * (w * w)))
+
+    def sin(self):
+        return _sin_cos(self)[0]
+
+    def cos(self):
+        return _sin_cos(self)[1]
+
+
+def _sin_cos(a):
+    # The coupled pair s' = a' c, c' = -a' s, built once so that each
+    # product shares the prefix of the other function.
+    s = a._define(scalar_sin(a.head), lambda da, w: da * c)
+    c = a._define(scalar_cos(a.head), lambda da, w: -(da * s))
+    return s, c
+
+
+class Series(Analytic):
     """Coefficient stream of a formal power series."""
 
     __slots__ = ()
+
+    @classmethod
+    def _constant(cls, value):
+        return Series.cons(value, ZERO)
+
+    @classmethod
+    def _solve(cls, value, derivative):
+        # W = value + integral(W')
+        return Series.cons(value, lambda: _integral_tail(derivative(), 1))
 
     # -- construction ------------------------------------------------
 
@@ -201,6 +291,8 @@ class Series(LazyPair):
             return ZERO
         return Series.defer(lambda: _diff_node(u.tail))
 
+    _derivation = diff
+
     def integral(self, constant=0) -> "Series":
         """Antiderivative with the given constant term."""
         if self is ZERO:
@@ -209,49 +301,6 @@ class Series(LazyPair):
             return Series.cons(constant, ZERO)
         u = self
         return Series.cons(constant, lambda: _integral_tail(u, 1))
-
-    # -- elementary functions ------------------------------------------
-
-    def exp(self) -> "Series":
-        """W with W' = W * U'; head is exp of the leading coefficient."""
-        if self is ZERO:
-            return Series.cons(1, ZERO)
-        u = self
-        w = Series.cons(scalar_exp(u.head),
-                        lambda: _integral_tail(u.diff() * w, 1))
-        return w
-
-    def log(self) -> "Series":
-        """W with W' = U'/U; the leading coefficient must admit a scalar log."""
-        if self is ZERO:
-            raise ValueError("log: the zero series has no logarithm")
-        u = self
-        head = scalar_log(u.head)
-        return Series.cons(head, lambda: _integral_tail(u.diff() / u, 1))
-
-    def sqrt(self) -> "Series":
-        """W with W**2 = U, via W = sqrt(u0) + integral(U' / (2W))."""
-        if self is ZERO or not _invertible(self.head):
-            raise ValueError("sqrt: leading coefficient must be nonzero")
-        u = self
-        w = Series.cons(scalar_sqrt(u.head),
-                        lambda: _integral_tail(u.diff() / (w * 2), 1))
-        return w
-
-    def pow(self, a) -> "Series":
-        """U**a for a scalar exponent, via W = u0**a + integral(a * U' * W / U)."""
-        if self is ZERO or not _invertible(self.head):
-            raise ValueError("pow: leading coefficient must be nonzero")
-        u = self
-        w = Series.cons(scalar_pow(u.head, a),
-                        lambda: _integral_tail((u.diff() * w / u).scale(a), 1))
-        return w
-
-    def sin(self) -> "Series":
-        return _sin_cos(self)[0]
-
-    def cos(self) -> "Series":
-        return _sin_cos(self)[1]
 
     # -- composition ----------------------------------------------------
 
@@ -296,6 +345,8 @@ class Series(LazyPair):
 
 class _ZeroSeries(Series):
     __slots__ = ()
+
+    _compact = True
 
     def __repr__(self):
         return "<Series 0>"
@@ -377,14 +428,3 @@ def _integral_tail(u, k):
 
 def _integral_rest(u, k):
     return _integral_tail(u.tail, k + 1)
-
-
-def _sin_cos(u):
-    if u is ZERO:
-        return ZERO, Series.cons(1, ZERO)
-    s_head = scalar_sin(u.head)
-    c_head = scalar_cos(u.head)
-    d = u.diff()
-    s = Series.cons(s_head, lambda: _integral_tail(d * c, 1))
-    c = Series.cons(c_head, lambda: _integral_tail(-(d * s), 1))
-    return s, c

@@ -1,0 +1,56 @@
+"""The elementary functions that series and derivative towers share.
+
+Both inherit one definition of each function from ``corec.series.Analytic``,
+so the checks here run the same function in both algebras.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+from corec.dif import Dif, taylor_from_tower
+from corec.series import Series, ZERO
+
+
+def test_series_atan_asin_recip_match_sympy_series():
+    sp = pytest.importorskip("sympy")
+    x = sp.Symbol("x")
+    n = 10
+    u = Series.from_list([0, 1, 1])  # x + x^2
+    cases = [
+        (u.atan(), sp.atan(x + x**2)),
+        (u.asin(), sp.asin(x + x**2)),
+        # recip needs an invertible constant term
+        ((u + 1).recip(), 1 / (1 + x + x**2)),
+    ]
+    for series, expr in cases:
+        poly = sp.series(expr, x, 0, n).removeO()
+        want = [Fraction(int(c.p), int(c.q))
+                for c in (poly.coeff(x, k) for k in range(n))]
+        assert series.coefficients(n) == want, expr
+
+
+def test_sqrt_and_pow_need_a_nonzero_value():
+    for zero in (ZERO, Dif.const(0), Dif.var(0.0)):
+        with pytest.raises(ValueError):
+            zero.sqrt()
+        with pytest.raises(ValueError):
+            zero.pow(Fraction(1, 2))
+
+
+def test_compact_constants_stay_compact():
+    c = Dif.const(0.5).atan()
+    assert c.tail.tail is c.tail  # the shared all-zero tail
+    assert c.elements(3) == [math.atan(0.5), 0, 0]
+    assert ZERO.exp().coefficients(3) == [1, 0, 0]
+    assert ZERO.cos().coefficients(3) == [1, 0, 0]
+
+
+def test_series_and_tower_agree_through_the_bridge():
+    x = Dif.var(Fraction(0))
+    u = Series.from_list([0, 1])
+    for name in ("atan", "asin"):
+        tower = taylor_from_tower(getattr(x, name)()).coefficients(8)
+        series = getattr(u, name)().coefficients(8)
+        assert tower == series, name

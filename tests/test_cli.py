@@ -139,6 +139,32 @@ def test_audio_error_leaves_no_file(tmp_path, capsys):
     assert not (tmp_path / "missing").exists()
 
 
+def _run_module(*argv):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "corec", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_lambertw_stops_before_an_infinite_element():
+    # Element 144 of the Lambert W tower is the first beyond the float range.
+    proc = _run_module("lambertw", "--n", "144")
+    assert proc.returncode == 0
+    assert len(proc.stdout.split()) == 144
+    proc = _run_module("lambertw", "--n", "145")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "element 144" in proc.stderr
+
+
+def test_wkb_infinite_value_exits_2(capsys):
+    code, out, err = run(capsys, "wkb", "--x0", "1e-300", "--orders", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_lambertw_past_float_binomials_exits_2():
     # Past n = 1030 the Leibniz weights comb(n, k) no longer fit in a float.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

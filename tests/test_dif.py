@@ -100,6 +100,16 @@ def test_division_zero_over_zero_towers():
     assert (Dif.const(0) / Dif.const(0)).elements(4) == [0, 0, 0, 0]
 
 
+def test_division_zero_over_zero_to_every_order_is_indeterminate():
+    # Both towers vanish at every order: lowering never reaches a nonzero
+    # element, and the search ends in a clean error, not RecursionError.
+    x = Dif.var(0.5)
+    for num, den in ((x - x, x - x),
+                     (x.sin() - x.sin(), x.sin() - x.sin())):
+        with pytest.raises(ZeroDivisionError, match="indeterminate 0/0"):
+            num / den
+
+
 def test_exp_derivative_cycle():
     assert close(Dif.var(0.0).exp().elements(5), [1, 1, 1, 1, 1], 0)
 
@@ -117,6 +127,23 @@ def test_log_exp_roundtrip():
 def test_sqrt_squared():
     u = Dif.var(2.0).sqrt()
     assert close(u.sqr().elements(6), [2.0, 1, 0, 0, 0, 0], 1e-12)
+
+
+def test_sqrt_of_exact_tower_stays_exact():
+    # sqrt(x) at 4: 2, 1/(2*2), -1/(4*8), 3/(8*32)
+    got = Dif.var(Fraction(4)).sqrt().elements(4)
+    assert got == [2, Fraction(1, 4), Fraction(-1, 32), Fraction(3, 256)]
+    assert all(isinstance(v, (int, Fraction)) for v in got)
+
+
+def test_pow_towers():
+    # x^-2 at 2, exactly: 1/4, -2/8, 6/16, -24/32
+    got = Dif.var(Fraction(2)).pow(-2).elements(4)
+    assert got == [Fraction(1, 4), Fraction(-1, 4), Fraction(3, 8),
+                   Fraction(-3, 4)]
+    # x^1.5 at 4: 8, 1.5*2, 0.75/2, -0.375/8
+    got = Dif.var(4.0).pow(1.5).elements(4)
+    assert close(got, [8.0, 3.0, 0.375, -0.046875], 1e-12)
 
 
 def test_atan_asin_values():

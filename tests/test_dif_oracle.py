@@ -1,9 +1,9 @@
 """Derivative towers against an independent oracle: sympy's ``diff``.
 
 Random expression trees over ``+ - * /`` and ``exp log sqrt sin cos atan
-asin`` are built twice, once as a tower at a point and once as a sympy
-expression, and the first tower elements are compared with the symbolic
-derivatives evaluated at that point.
+asin recip`` and a fixed power are built twice, once as a tower at a point
+and once as a sympy expression, and the first tower elements are compared
+with the symbolic derivatives evaluated at that point.
 """
 
 import math
@@ -19,8 +19,12 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from corec.dif import Dif  # noqa: E402
 
 ELEMENTS = 8
-UNARY = ("exp", "log", "sqrt", "sin", "cos", "atan", "asin")
+UNARY = ("exp", "log", "sqrt", "sin", "cos", "atan", "asin", "recip", "pow")
 BINARY = ("+", "-", "*", "/")
+# "pow" raises to this fixed exponent.
+POWER = -1.5
+# The sympy forms of the tower methods that sympy has no function for.
+SYMPY_FORMS = {"recip": lambda u: 1 / u, "pow": lambda u: u ** sp.Rational(-3, 2)}
 
 # The variable is drawn three times as often as a constant, so that most
 # trees are towers rather than compact constants.
@@ -49,10 +53,10 @@ class _OutOfDomain(Exception):
 def _build(tree, x, const, fn, check):
     """Fold ``tree`` with leaves ``x``/``const(c)`` and functions ``fn(name, arg)``.
 
-    log and sqrt see ``u*u + 1``, so their arguments are always in their
-    domains. ``check(u, inside=r)`` or ``check(u, outside=r)`` may reject
-    an asin argument or a denominator whose value is not inside or outside
-    (-r, r).
+    log, sqrt and pow see ``u*u + 1``, so their arguments are always in
+    their domains. ``check(u, inside=r)`` or ``check(u, outside=r)`` may
+    reject an asin argument or a denominator (of ``/`` or recip) whose value
+    is not inside or outside (-r, r).
     """
     op = tree[0]
     if op == "x":
@@ -62,10 +66,12 @@ def _build(tree, x, const, fn, check):
     args = [_build(t, x, const, fn, check) for t in tree[1:]]
     if op in UNARY:
         (u,) = args
-        if op in ("log", "sqrt"):
+        if op in ("log", "sqrt", "pow"):
             u = u * u + 1
         elif op == "asin":
             check(u, inside=0.9)
+        elif op == "recip":
+            check(u, outside=0.25)
         return fn(op, u)
     a, b = args
     if op == "+":
@@ -83,14 +89,18 @@ def _tower(tree, x0):
         if not outside <= abs(u.value) < inside:
             raise _OutOfDomain
 
-    return _build(tree, Dif.var(x0), Dif.const,
-                  lambda name, u: getattr(u, name)(), check).elements(ELEMENTS)
+    def fn(name, u):
+        return u.pow(POWER) if name == "pow" else getattr(u, name)()
+
+    return _build(tree, Dif.var(x0), Dif.const, fn, check).elements(ELEMENTS)
 
 
 def _sympy_derivatives(tree, x0):
     x = sp.Symbol("x")
-    expr = _build(tree, x, sp.Float, lambda name, u: getattr(sp, name)(u),
-                  lambda u, **limits: None)
+    def fn(name, u):
+        return SYMPY_FORMS.get(name, getattr(sp, name, None))(u)
+
+    expr = _build(tree, x, sp.Float, fn, lambda u, **limits: None)
     derivatives = []
     for _ in range(ELEMENTS):
         derivatives.append(expr)
