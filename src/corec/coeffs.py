@@ -13,12 +13,20 @@ refuse an exact argument unless the result is itself exact (for example
 one exact argument that has an exact result. Series and derivative towers
 are dispatched to their own methods, which both inherit from
 :class:`corec.series.Analytic`.
+
+:func:`dot` is the one kernel behind every series product and quotient and
+every Leibniz sum of a derivative tower: a fold of weighted products in
+the order its caller gives, which puts exact terms over one common
+denominator.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
+from itertools import repeat
+from operator import add, attrgetter, floordiv, mul, sub
 
 __all__ = [
     "Rational",
@@ -26,6 +34,7 @@ __all__ = [
     "format_coeff",
     "is_exact",
     "divide",
+    "dot",
     "scalar_exp",
     "scalar_log",
     "scalar_sqrt",
@@ -72,6 +81,65 @@ def divide(x, y):
     if isinstance(x, int) and isinstance(y, int):
         return Fraction(x, y)
     return x / y
+
+
+_EXACT_TYPES = {int, Fraction}
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
+
+
+def dot(xs, ys, weights=None, start=None, subtract=False):
+    """The fold ``start + w_0 x_0 y_0 + w_1 x_1 y_1 + ...``, left to right.
+
+    Each term is ``(w * x) * y``, or ``x * y`` without ``weights``, and is
+    combined as ``acc + term``, or ``acc - term`` with ``subtract``. Without
+    ``start`` the fold begins at the first term (negated with ``subtract``),
+    and an empty fold is 0. Floats are so rounded in exactly the order the
+    caller gives; a fold that adds to a ``start`` is ``sum(terms, start)``,
+    whose float loop is faster (and compensates its rounding from Python
+    3.12 on). When every operand is an int or a Fraction and at least one
+    is a Fraction, the terms are put over one common denominator and the
+    sum is reduced once instead of at every addition; int operands alone
+    give the plain int sum.
+    """
+    # The types of the first term decide whether the rest are scanned, so a
+    # float fold pays no scan.
+    if xs and type(xs[0]) in _EXACT_TYPES and type(ys[0]) in _EXACT_TYPES:
+        types = {*map(type, xs), *map(type, ys)}
+        if start is not None:
+            types.add(type(start))
+        if Fraction in types and types <= _EXACT_TYPES:
+            return _common_denominator_dot(xs, ys, weights, start, subtract)
+    if weights is None:
+        terms = map(mul, xs, ys)
+    else:
+        terms = map(mul, map(mul, weights, xs), ys)
+    if start is None:
+        start = next(terms, None)
+        if start is None:
+            return 0
+        if subtract:
+            start = -start
+    elif not subtract:
+        return sum(terms, start)
+    return reduce(sub if subtract else add, terms, start)
+
+
+def _common_denominator_dot(xs, ys, weights, start, subtract):
+    dens = list(map(mul, map(_denominator, xs), map(_denominator, ys)))
+    nums = map(mul, map(_numerator, xs), map(_numerator, ys))
+    if weights is not None:
+        nums = map(mul, weights, nums)
+    if start is None:
+        common = math.lcm(*dens)
+    else:
+        common = math.lcm(start.denominator, *dens)
+    total = sum(map(mul, nums, map(floordiv, repeat(common), dens)))
+    if subtract:
+        total = -total
+    if start is not None:
+        total += start.numerator * (common // start.denominator)
+    return Fraction(total, common)
 
 
 def _exact_sqrt(q: Fraction) -> Fraction:
@@ -134,6 +202,10 @@ def scalar_pow(x, a):
         if x == 1:
             return 1
         raise ValueError("non-integer power of an exact value is irrational")
+    # An int power keeps ``**``, which a series repeats as products and so
+    # allows a zero head; other powers of a series or tower are its own pow.
+    if not isinstance(a, int) and hasattr(x, "pow"):
+        return x.pow(a)
     return x ** a
 
 

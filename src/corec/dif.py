@@ -37,8 +37,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .coeffs import divide, scalar_cos, scalar_exp, scalar_recip, scalar_sin
-from .series import Analytic, Series, ZERO as SERIES_ZERO
+from .coeffs import divide, dot, scalar_cos, scalar_exp, scalar_recip, scalar_sin
+from .series import Analytic, Series, ZERO as SERIES_ZERO, _chain, _Prefix
 
 __all__ = ["Dif", "ZERO_TOWER", "damped_sine", "lambert_w_tower", "taylor_from_tower"]
 
@@ -140,9 +140,11 @@ class Dif(Analytic):
         pb = pa if b is a else _Prefix(b)
 
         def element(n):
-            return _leibniz(n, pa.upto(n), pb.upto(n), range(n + 1))
+            # sum_k comb(n, k) a_k b_(n-k), from k = 0 up
+            return dot(pa.upto(n)[:n + 1], pb.upto(n)[n::-1],
+                       weights=_binomials(n), start=0)
 
-        return _chain(element)
+        return _chain(Dif, element)
 
     __rmul__ = __mul__
 
@@ -172,10 +174,11 @@ class Dif(Analytic):
         def element(n):
             # b_0 q_n = a_n - sum_{k>=1} comb(n, k) b_k q_(n-k)
             y = pb.upto(n)
-            rest = _leibniz(n, y, pq.upto(n - 1), range(1, n + 1))
+            rest = dot(y[1:n + 1], pq.upto(n - 1)[:n][::-1],
+                       weights=_binomials(n)[1:], start=0)
             return divide(pa.upto(n)[n] - rest, y[0])
 
-        w = _chain(element)
+        w = _chain(Dif, element)
         pq = _Prefix(w)
         return w
 
@@ -225,25 +228,6 @@ def _lift(x):
     return NotImplemented
 
 
-class _Prefix:
-    """The elements of a tower read so far, each forced once and kept in a list."""
-
-    __slots__ = ("_node", "_values")
-
-    def __init__(self, tower):
-        self._node = tower
-        self._values = []
-
-    def upto(self, n):
-        """The list of elements 0..n (longer if more were read before)."""
-        values, node = self._values, self._node
-        while len(values) <= n:
-            node = node.tail if values else node
-            values.append(node.head)
-            self._node = node
-        return values
-
-
 @lru_cache(maxsize=16)
 def _binomials(n):
     # Row n of Pascal's triangle. Forcing in order asks for the same few
@@ -252,18 +236,6 @@ def _binomials(n):
     for k in range(n):
         row.append(row[-1] * (n - k) // (k + 1))
     return tuple(row)
-
-
-def _leibniz(n, x, y, ks):
-    # The Leibniz terms comb(n, k) * x_k * y_(n-k) for k in ks, summed.
-    c = _binomials(n)
-    return sum(c[k] * x[k] * y[n - k] for k in ks)
-
-
-def _chain(element, n=0):
-    # The tower whose element n is element(n): one memoized node per index,
-    # each tail the next node of the same chain.
-    return Dif(lambda: element(n), lambda: _chain(element, n + 1))
 
 
 def _extended_quotient(a, b):
@@ -290,7 +262,7 @@ def _lowered(a, pa, k):
             v = divide(v, j)
         return v
 
-    return _chain(element)
+    return _chain(Dif, element)
 
 
 # -- showcase towers ------------------------------------------------------

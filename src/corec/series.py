@@ -12,12 +12,21 @@ detect that an arbitrary lazy tail happens to be all zeros (that question
 is undecidable). Its elements read as plain ``0``, which participates in
 every supported coefficient domain.
 
-Multiplication is the Cauchy product, division is the co-recursive long
-division (requiring an invertible leading coefficient, never cancelling
-powers of x), and the elementary functions are defined by their integral
-equations, e.g. ``W = exp U`` satisfies ``W = exp(u0) + integral(W * U')``.
-Equality of series is deliberately not an operation; tests and callers
-compare finite coefficient windows.
+Multiplication is the Cauchy product: coefficient n of ``u * v`` is
+``sum_k u_k v_(n-k)``, computed from the memoized prefixes of the operands
+and summed from the highest k down. Division solves the same sum for its
+own coefficient, ``q_n = (u_n - sum_(j<n) q_j v_(n-j)) / v_0``, which needs
+an invertible leading coefficient and never cancels powers of x. Either
+way n coefficients cost O(n^2) coefficient operations, and exact terms are
+put over one common denominator and reduced once per coefficient
+(:func:`corec.coeffs.dot`). Coefficient n reads no operand coefficient
+beyond n. A product of two polynomials ends in :data:`ZERO` past the sum
+of their degrees, and a polynomial divided by a constant ends where the
+polynomial does; to see where an operand ends, the result looks at the
+tail of the last operand node it read. The elementary functions are defined
+by their integral equations, e.g. ``W = exp U`` satisfies
+``W = exp(u0) + integral(W * U')``. Equality of series is deliberately not
+an operation; tests and callers compare finite coefficient windows.
 
 The elementary functions live on :class:`Analytic`, the base class that
 series share with derivative towers (:class:`corec.dif.Dif`): both are
@@ -32,6 +41,7 @@ from typing import Callable
 from .cells import LazyPair
 from .coeffs import (
     divide,
+    dot,
     scalar_asin,
     scalar_atan,
     scalar_cos,
@@ -238,10 +248,25 @@ class Series(Analytic):
         if isinstance(other, Series):
             if self is ZERO or other is ZERO:
                 return ZERO
-            u, v = self, other
-            # u*v = u0*v0 + x*(u0*vq + uq*v), computed co-recursively
-            return Series(lambda: u.head * v.head,
-                          lambda: v.tail.scale(u.head) + u.tail * v)
+            pu = _Prefix(self)
+            pv = pu if other is self else _Prefix(other)
+
+            def element(n):
+                # sum_k u_k v_(n-k) over the k where both operands have a
+                # node, from the highest k down
+                x, y = pu.upto(n), pv.upto(n)
+                lo, hi = max(0, n + 1 - len(y)), min(n, len(x) - 1)
+                return dot(x[lo:hi + 1][::-1], y[n - hi:n - lo + 1])
+
+            def done(n):
+                # u*v ends after n once len(u) + len(v) <= n + 2
+                lu = pu.length()
+                if lu is None:
+                    return False
+                lv = pv.length()
+                return lv is not None and lu + lv <= n + 2
+
+            return _chain(Series, element, done)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -258,9 +283,25 @@ class Series(Analytic):
                 )
             if self is ZERO:
                 return ZERO
-            u = self
-            w = Series(lambda: divide(u.head, v.head),
-                       lambda: (u.tail - v.tail.scale(w.head)) / v)
+            pu, pv = _Prefix(self), _Prefix(v)
+
+            def element(n):
+                # v_0 q_n = u_n - sum_j q_j v_(n-j), subtracted in ascending j
+                x, y, q = pu.upto(n), pv.upto(n), pq.upto(n - 1)
+                lo = max(0, n + 1 - len(y))
+                u_n = x[n] if n < len(x) else None
+                return divide(dot(q[lo:n], y[n - lo:0:-1], start=u_n,
+                                  subtract=True), y[0])
+
+            def done(n):
+                # Divided by a constant, a polynomial stays one.
+                if pv.length() != 1:
+                    return False
+                lu = pu.length()
+                return lu is not None and lu <= n + 1
+
+            w = _chain(Series, element, done)
+            pq = _Prefix(w)
             return w
         c = Fraction(other) if isinstance(other, int) else other
         return self.map(lambda x: x / c)
@@ -390,6 +431,59 @@ def _coeff_head(c):
 
 def _coeff_tail(c):
     return c.tail if isinstance(c, Series) else ZERO
+
+
+# -- prefix kernels shared with derivative towers -------------------------
+
+class _Prefix:
+    """The elements of a series or tower read so far, each forced once.
+
+    It also learns where the operand reaches the compact :data:`ZERO`;
+    derivative towers never reach it.
+    """
+
+    __slots__ = ("_node", "_values", "_end")
+
+    def __init__(self, node):
+        self._node = node
+        self._values = []
+        self._end = None
+
+    def upto(self, n):
+        """The list of elements 0..n: shorter if the operand ends first,
+        longer if more were read before."""
+        values, node = self._values, self._node
+        while len(values) <= n and self._end is None:
+            if values:
+                node = node.tail
+                if node is ZERO:
+                    self._end = len(values)
+                    break
+            values.append(node.head)
+            self._node = node
+        return values
+
+    def length(self):
+        """The number of nodes before ZERO, or None if more may follow.
+
+        Beyond the elements read, this forces at most the tail of the last
+        node read, never an element.
+        """
+        if self._end is None and self._values and self._node.tail is ZERO:
+            self._end = len(self._values)
+        return self._end
+
+
+def _chain(cls, element, done=None, n=0):
+    # The cls node whose element n is element(n): one memoized node per
+    # index, each tail the next node of the same chain, or ZERO once
+    # done(n) says that every element after n is zero.
+    def rest():
+        if done is not None and done(n):
+            return ZERO
+        return _chain(cls, element, done, n + 1)
+
+    return cls(lambda: element(n), rest)
 
 
 # -- lazy helpers (forcing only happens inside thunks) -------------------

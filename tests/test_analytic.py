@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from corec.coeffs import scalar_pow
 from corec.dif import Dif, taylor_from_tower
 from corec.series import Series, ZERO
 
@@ -54,3 +55,21 @@ def test_series_and_tower_agree_through_the_bridge():
         tower = taylor_from_tower(getattr(x, name)()).coefficients(8)
         series = getattr(u, name)().coefficients(8)
         assert tower == series, name
+
+
+def test_series_pow_of_tower_coefficients_matches_sqrt():
+    # The value of pow is scalar_pow of a tower, which is the tower's pow.
+    u = Series.cons(Dif.var(2.0), Series.cons(Dif.const(1.0), ZERO))
+    got, want = u.pow(0.5).coefficients(5), u.sqrt().coefficients(5)
+    for g, w in zip(got, want):
+        for a, b in zip(g.elements(5), w.elements(5)):
+            assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_scalar_pow_keeps_int_powers_of_a_series_as_products():
+    # An int power is repeated multiplication, so a zero head is allowed;
+    # any other power is the series' own pow, which needs a nonzero value.
+    x = Series.from_list([0, 1])
+    assert scalar_pow(x, 2).coefficients(4) == [0, 0, 1, 0]
+    with pytest.raises(ValueError):
+        scalar_pow(x, Fraction(1, 2))

@@ -128,3 +128,16 @@ def test_towers_match_sympy_derivatives(tree, x0):
         # the largest element so far bounds from below.
         scale = max(1.0, max(abs(v) for v in want[:k + 1]))
         assert abs(g - w.real) <= 1e-8 * scale, (k, got, want)
+
+
+# The derandomized examples above draw no cos and compare no asin; these
+# fixed trees do. Each lies inside the domain guards, so the assumptions of
+# the test body hold and every one reaches the comparison.
+@pytest.mark.parametrize("tree, x0", [
+    (("cos", ("x",)), 1.7),
+    (("cos", ("*", ("x",), ("x",))), -0.4),
+    (("asin", ("x",)), 0.3),
+    (("asin", ("*", ("c", 0.75), ("sin", ("x",)))), 0.9),
+])
+def test_cos_and_asin_towers_match_sympy_derivatives(tree, x0):
+    test_towers_match_sympy_derivatives.hypothesis.inner_test(tree=tree, x0=x0)

@@ -1,0 +1,227 @@
+"""Series products and quotients against dense references written here.
+
+Operands are random rational or float coefficient lists, either ending in
+the compact ZERO (``from_list``) or infinite (a prefix followed by a
+repeating cycle of nodes). The references work on plain Python lists.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from corec.catalog import partitions
+from corec.cells import NonProductiveError
+from corec.series import Series, ZERO
+
+hypothesis = pytest.importorskip("hypothesis")
+
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+N = 12
+
+ints = st.integers(-9, 9)
+rationals = st.builds(Fraction, ints, st.integers(1, 9))
+# Mixed ints and Fractions, so that the int-only and Fraction terms differ.
+exacts = st.one_of(ints, rationals)
+floats = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+def _infinite(prefix, cycle):
+    # prefix, then cycle repeated forever as a ring of nodes
+    ring = Series.cons(cycle[-1], lambda: start)
+    for v in reversed(cycle[:-1]):
+        ring = Series.cons(v, ring)
+    start = ring
+    node = ring
+    for v in reversed(prefix):
+        node = Series.cons(v, node)
+    return node
+
+
+def _operands(values):
+    """(series, its first N coefficients, its length or None if infinite)."""
+    return st.one_of(
+        st.lists(values, min_size=1, max_size=N).map(_polynomial),
+        st.tuples(st.lists(values, max_size=4),
+                  st.lists(values, min_size=1, max_size=4)).map(
+            lambda pc: (_infinite(*pc), _repeat(*pc), None)),
+    )
+
+
+def _polynomial(xs):
+    return Series.from_list(xs), xs + [0] * (N - len(xs)), len(xs)
+
+
+def _repeat(prefix, cycle):
+    out = list(prefix)
+    while len(out) < N:
+        out += cycle
+    return out[:N]
+
+
+def _terms(n, la, lb):
+    # The k for which both operands have a node: k < la and n - k < lb.
+    lo = 0 if lb is None else max(0, n + 1 - lb)
+    hi = n if la is None else min(n, la - 1)
+    return range(lo, hi + 1)
+
+
+def _product(a, la, b, lb):
+    """Coefficient n is the sum of a_k b_(n-k), nested to the right."""
+    out = []
+    for n in range(N):
+        ks = _terms(n, la, lb)
+        if not ks:
+            out.append(0)
+            continue
+        acc = a[ks[-1]] * b[n - ks[-1]]
+        for k in reversed(ks[:-1]):
+            acc = a[k] * b[n - k] + acc
+        out.append(acc)
+    return out
+
+
+def _quotient(a, la, b, lb):
+    """Long division: q_n = (a_n - q_0 b_n - q_1 b_(n-1) - ...) / b_0."""
+    q = []
+    for n in range(N):
+        r = a[n] if la is None or n < la else None
+        for j in range(0 if lb is None else max(0, n + 1 - lb), n):
+            t = q[j] * b[n - j]
+            r = -t if r is None else r - t
+        if r is None:
+            # a polynomial divided by a constant has ended
+            q.append(0)
+            continue
+        exact_ints = isinstance(r, int) and isinstance(b[0], int)
+        q.append(Fraction(r, b[0]) if exact_ints else r / b[0])
+    return q
+
+
+def _same(got, want):
+    # Equal values of the same type; floats bit for bit, signed zeros too.
+    assert [type(g) for g in got] == [type(w) for w in want], (got, want)
+    assert [repr(g) for g in got] == [repr(w) for w in want], (got, want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(u=_operands(exacts), v=_operands(exacts))
+def test_exact_products_match_the_dense_sum(u, v):
+    (su, a, la), (sv, b, lb) = u, v
+    _same((su * sv).coefficients(N), _product(a, la, b, lb))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(u=_operands(floats), v=_operands(floats))
+def test_float_products_are_the_right_nested_sum(u, v):
+    (su, a, la), (sv, b, lb) = u, v
+    _same((su * sv).coefficients(N), _product(a, la, b, lb))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(u=_operands(exacts), v=_operands(exacts))
+def test_exact_quotients_match_long_division(u, v):
+    (su, a, la), (sv, b, lb) = u, v
+    assume(b[0] != 0)
+    got = (su / sv).coefficients(N)
+    want = _quotient(a, la, b, lb)
+    _same(got, want)
+    assert _product(got, None, b, lb) == a
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(u=_operands(floats), v=_operands(floats))
+def test_float_quotients_match_long_division(u, v):
+    (su, a, la), (sv, b, lb) = u, v
+    assume(b[0] != 0)
+    _same((su / sv).coefficients(N), _quotient(a, la, b, lb))
+
+
+def test_int_operands_give_int_coefficients():
+    got = (Series.from_list([1, 2, 3]) * Series.from_list([4, 5])).coefficients(5)
+    _same(got, [4, 13, 22, 15, 0])
+    mixed = Series.from_list([Fraction(1, 2), 2, 3]) * Series.from_list([4, 5])
+    # Coefficients 2 and 3 have no Fraction operand, so they stay ints.
+    _same(mixed.coefficients(5), [Fraction(2), Fraction(21, 2), 22, 15, 0])
+
+
+def _nodes_before_zero(node, limit=20):
+    # Read in order, as take does: the ends are learned from what is read.
+    count = 0
+    while node is not ZERO and count < limit:
+        node.head
+        node = node.tail
+        count += 1
+    return count
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(a=st.lists(exacts, min_size=1, max_size=6),
+       b=st.lists(exacts, min_size=1, max_size=6))
+def test_polynomial_products_end_in_zero_past_their_degree(a, b):
+    u, v = Series.from_list(a), Series.from_list(b)
+    assert _nodes_before_zero(u * v) == len(a) + len(b) - 1
+    # Divided by a constant, a polynomial stays one.
+    c = Series.from_list([b[0] or 1])
+    assert _nodes_before_zero(u / c) == len(a)
+
+
+def _counting(values, forced):
+    # An infinite series that records the index of every coefficient forced.
+    def at(k):
+        def head():
+            forced.append(k)
+            return values[k % len(values)]
+        return Series(head, lambda: at(k + 1))
+    return at(0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(0, N - 1), op=st.sampled_from(["*", "/", "square"]))
+def test_element_n_forces_no_operand_element_beyond_n(n, op):
+    fu, fv = [], []
+    u = _counting([Fraction(1, 2), 3, -1], fu)
+    v = _counting([2, Fraction(-1, 3)], fv)
+    w = {"*": lambda: u * v, "/": lambda: u / v, "square": lambda: u * u}[op]()
+    for _ in range(n):
+        w = w.tail
+    w.head
+    assert max(fu + fv) <= n
+
+
+# -- self-referential definitions through the product and quotient ----------
+
+def test_exp_recip_and_revert_through_the_kernel():
+    x = Series.from_list([0, 1])
+    factorials = [1]
+    for k in range(1, 15):
+        factorials.append(factorials[-1] * k)
+    assert x.exp().coefficients(15) == [Fraction(1, f) for f in factorials]
+    assert Series.from_list([1, -1]).recip().coefficients(15) == [1] * 15
+    # x/(1 - x - x^2) = 1/(1 - x - x^2) shifted: the Fibonacci numbers
+    fib = Series.from_list([0, 1]) / Series.from_list([1, -1, -1])
+    assert fib.coefficients(12) == [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
+    # revert(x + x^2) is sum (-1)^(n-1) Catalan(n-1) x^n
+    catalan = [1]
+    for n in range(1, 14):
+        catalan.append(catalan[-1] * 2 * (2 * n - 1) // (n + 1))
+    want = [0] + [(-1) ** (n - 1) * catalan[n - 1] for n in range(1, 15)]
+    assert Series.from_list([0, 1, 1]).revert().coefficients(15) == want
+
+
+def test_partitions_from_the_divisor_sums():
+    # x P' = P * sigma: P is its own product's integral, p_0 = 1.
+    n = 60
+    sigma = [sum(d for d in range(1, k + 2) if (k + 1) % d == 0)
+             for k in range(n)]
+    p = Series.defer(lambda: (p * Series.from_list(sigma)).integral(1))
+    assert p.coefficients(n) == partitions().coefficients(n)
+
+
+def test_non_productive_products_and_quotients_raise():
+    s = Series.defer(lambda: s * s)
+    with pytest.raises(NonProductiveError):
+        s.head
+    q = Series.defer(lambda: Series.from_list([1, 1]) / q)
+    with pytest.raises(NonProductiveError):
+        q.head
