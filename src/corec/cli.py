@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 
 from .catalog import CATALOG
 from .cells import NonProductiveError
@@ -93,13 +94,30 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@contextmanager
+def _any_int_size():
+    # Exact values are printed whatever their size. The interpreter's limit
+    # on int-to-text conversion (Python >= 3.10.7) stays on everywhere
+    # else, argument parsing included.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _formatted(values, name="element") -> list:
     """The values as text; a float that is not finite is an error."""
     for k, v in enumerate(values):
         if isinstance(v, float) and not math.isfinite(v):
             raise OverflowError("%s %d is %r, not a finite float"
                                 % (name, k, v))
-    return [format_coeff(v) for v in values]
+    with _any_int_size():
+        return [format_coeff(v) for v in values]
 
 
 def _emit_values(values, csv: bool) -> None:
@@ -164,8 +182,9 @@ def _audio_stream(args):
 
 
 def _run_audio(args) -> int:
-    stream = _audio_stream(args)
-    path = write_wav(args.out, args.rate, stream, args.dur)
+    # The stream goes straight to the writer, which keeps no reference to
+    # its first node, so the rendered prefix is freed as it is written.
+    path = write_wav(args.out, args.rate, _audio_stream(args), args.dur)
     frames = int(args.rate * args.dur)
     print("wrote %s (%d frames at %d Hz)" % (path, frames, args.rate))
     return 0

@@ -35,7 +35,8 @@ lowered again while both values stay 0. Towers that both vanish to order
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
+from operator import add, mul, neg, sub
 
 from .coeffs import divide, dot, scalar_cos, scalar_exp, scalar_recip, scalar_sin
 from .series import Analytic, Series, ZERO as SERIES_ZERO, _chain, _Prefix
@@ -91,14 +92,7 @@ class Dif(Analytic):
         other = _lift(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self, other
-        if isinstance(a, _Const):
-            if isinstance(b, _Const):
-                return _Const(a.value + b.value)
-            return Dif(lambda: a.value + b.value, lambda: b.tail)
-        if isinstance(b, _Const):
-            return Dif(lambda: a.value + b.value, lambda: a.tail)
-        return Dif(lambda: a.value + b.value, lambda: a.tail + b.tail)
+        return _combine(add, self, other)
 
     __radd__ = __add__
 
@@ -106,26 +100,20 @@ class Dif(Analytic):
         other = _lift(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _combine(sub, self, other)
 
     def __rsub__(self, other):
         other = _lift(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return _combine(sub, other, self)
 
     def __neg__(self):
-        if isinstance(self, _Const):
-            return _Const(-self.value)
-        a = self
-        return Dif(lambda: -a.value, lambda: -a.tail)
+        return _map(neg, self)
 
     def scale(self, c) -> "Dif":
         """Multiply the whole tower by the scalar ``c``."""
-        if isinstance(self, _Const):
-            return _Const(c * self.value)
-        a = self
-        return Dif(lambda: c * a.value, lambda: a.tail.scale(c))
+        return _map(partial(mul, c), self)
 
     def __mul__(self, other):
         other = _lift(other)
@@ -201,23 +189,38 @@ class _Const(Dif):
         self._h = value
         self._ts = 0  # the zero tail is shared and created lazily
         self._t = lambda: ZERO_TOWER
-        self._index = 0
-
-
-def _make_zero_tower() -> Dif:
-    z = _Const.__new__(_Const)
-    z._hs = 2
-    z._h = 0
-    z._ts = 2
-    z._t = z
-    z._index = 0
-    return z
+        self._ops = None
 
 
 #: The all-zero tower (the compact constant 0); its tail is itself.
-ZERO_TOWER = _make_zero_tower()
+ZERO_TOWER = _Const(0)
+ZERO_TOWER._ts, ZERO_TOWER._t = 2, ZERO_TOWER
 
 _NUMBER_TYPES = (int, float, complex)
+
+
+def _map(op, a):
+    # Elementwise op; it maps a compact constant to a compact constant.
+    if isinstance(a, _Const):
+        return _Const(op(a.value))
+    return Dif.pointwise(_map, (op, a, None))
+
+
+def _combine(op, a, b):
+    # a + b or a - b, elementwise; two compact constants stay compact.
+    if isinstance(a, _Const) and isinstance(b, _Const):
+        return _Const(op(a.value, b.value))
+    return Dif.pointwise(_zip, (op, a, b))
+
+
+def _zip(op, a, b):
+    # The tail rule of a + b and a - b: a constant operand contributes
+    # ZERO_TOWER from its first tail on, which leaves the other operand.
+    if a is ZERO_TOWER:
+        return b if op is add else -b
+    if b is ZERO_TOWER:
+        return a
+    return _combine(op, a, b)
 
 
 def _lift(x):

@@ -12,11 +12,16 @@ reproducible across platforms and golden-file tests are portable.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import struct
+import sys
 import tempfile
+from array import array
+from itertools import islice
 from typing import Sequence
 
+from .cells import _stack_headroom
 from .stream import Stream, cons, defer, delay, prepend, scale, zip_with
 
 __all__ = [
@@ -62,8 +67,8 @@ def vibrato(h: float, mod: Stream) -> Stream:
     the constant stream 1 reproduces :func:`euler_osc` exactly.
     """
     y = cons(0.0, lambda: w)
-    w = defer(lambda: y + scale(h, zip_with(lambda m, a: m * a, mod, u)))
-    u = cons(1.0, lambda: u - scale(h, zip_with(lambda m, a: m * a, mod, w)))
+    w = defer(lambda: y + scale(h, zip_with(operator.mul, mod, u)))
+    u = cons(1.0, lambda: u - scale(h, zip_with(operator.mul, mod, w)))
     return y
 
 
@@ -128,26 +133,29 @@ def noise(seed: int) -> Stream:
     return defer(lambda: step(seed & _MASK64))
 
 
+#: Samples quantized and written per chunk by :func:`write_wav`.
+_CHUNK = 1 << 14
+
+
 def write_wav(path: str, rate: int, s: Stream, seconds: float) -> str:
     """Render ``floor(rate * seconds)`` samples as a 16-bit mono PCM WAV.
 
     Samples are clamped to [-1, 1], scaled by 32767 and rounded to the
-    nearest integer. The file is written to a temporary name in the target
-    directory and renamed into place, so a failure never leaves a partial
-    file at ``path``.
+    nearest integer. The stream is consumed in chunks and nothing here
+    keeps its first node, so memory stays bounded by what the definition
+    itself keeps, if the caller keeps no reference either. The file is
+    written to a temporary name in the target directory and renamed into
+    place, so a failure never leaves a partial file at ``path``.
     """
     if rate <= 0:
         raise ValueError("write_wav: rate must be > 0")
     if seconds <= 0:
         raise ValueError("write_wav: seconds must be > 0")
     frames = int(rate * seconds)
-    samples = s.take(frames)
-    quantized = bytearray()
-    for x in samples:
-        x = 1.0 if x > 1.0 else (-1.0 if x < -1.0 else x)
-        quantized += struct.pack("<h", int(round(x * 32767.0)))
+    samples = iter(s)
+    del s
 
-    data_size = len(quantized)
+    data_size = 2 * frames
     header = b"RIFF" + struct.pack("<I", 36 + data_size) + b"WAVE"
     header += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, rate,
                                     rate * 2, 2, 16)
@@ -156,9 +164,18 @@ def write_wav(path: str, rate: int, s: Stream, seconds: float) -> str:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".wav.part")
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with os.fdopen(fd, "wb") as fh, _stack_headroom(2048 + 16 * frames):
             fh.write(header)
-            fh.write(quantized)
+            for start in range(0, frames, _CHUNK):
+                count = min(_CHUNK, frames - start)
+                # clamp to [-1, 1], scale and round
+                chunk = array("h", [
+                    int(round((1.0 if x > 1.0 else -1.0 if x < -1.0 else x)
+                              * 32767.0))
+                    for x in islice(samples, count)])
+                if sys.byteorder == "big":
+                    chunk.byteswap()
+                chunk.tofile(fh)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

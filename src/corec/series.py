@@ -22,9 +22,10 @@ put over one common denominator and reduced once per coefficient
 (:func:`corec.coeffs.dot`). Coefficient n reads no operand coefficient
 beyond n. A product of two polynomials ends in :data:`ZERO` past the sum
 of their degrees, and a polynomial divided by a constant ends where the
-polynomial does; to see where an operand ends, the result looks at the
-tail of the last operand node it read. The elementary functions are defined
-by their integral equations, e.g. ``W = exp U`` satisfies
+polynomial does; to see where an operand ends, the result walks the
+operand's tails, never reading a coefficient for it, so the end is found
+even when only the result's tails are walked. The elementary functions
+are defined by their integral equations, e.g. ``W = exp U`` satisfies
 ``W = exp(u0) + integral(W * U')``. Equality of series is deliberately not
 an operation; tests and callers compare finite coefficient windows.
 
@@ -36,6 +37,8 @@ differential algebras, so one definition of each function serves both.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from operator import add, mul, neg, sub
 from typing import Callable
 
 from .cells import LazyPair
@@ -179,10 +182,7 @@ class Series(Analytic):
     def map(self, f: Callable) -> "Series":
         """Apply ``f`` to every coefficient; the compact zero tail is preserved
         without applying ``f`` (so ``f`` is assumed to fix zero)."""
-        if self is ZERO:
-            return ZERO
-        u = self
-        return Series(lambda: f(u.head), lambda: _map_rest(u, f))
+        return _map(f, self)
 
     def scale(self, c) -> "Series":
         """Multiply every coefficient by ``c``.
@@ -191,10 +191,7 @@ class Series(Analytic):
         how an inner-series scalar multiplies an outer series (the ``*``
         operator would mean the outer Cauchy product instead).
         """
-        if self is ZERO:
-            return ZERO
-        u = self
-        return Series(lambda: c * u.head, lambda: _scale_rest(u, c))
+        return _map(partial(mul, c), self)
 
     def shift(self, m: int) -> "Series":
         """Multiply by x**m, i.e. prepend ``m`` zero coefficients."""
@@ -211,12 +208,7 @@ class Series(Analytic):
 
     def __add__(self, other):
         if isinstance(other, Series):
-            if self is ZERO:
-                return other
-            if other is ZERO:
-                return self
-            u, v = self, other
-            return Series(lambda: u.head + v.head, lambda: u.tail + v.tail)
+            return _zip(add, self, other)
         # scalar: adds to the constant term
         if self is ZERO:
             return Series.cons(other, ZERO)
@@ -227,12 +219,7 @@ class Series(Analytic):
 
     def __sub__(self, other):
         if isinstance(other, Series):
-            if other is ZERO:
-                return self
-            if self is ZERO:
-                return -other
-            u, v = self, other
-            return Series(lambda: u.head - v.head, lambda: u.tail - v.tail)
+            return _zip(sub, self, other)
         u = self
         if u is ZERO:
             return Series.cons(-other, ZERO)
@@ -242,7 +229,7 @@ class Series(Analytic):
         return (-self) + other
 
     def __neg__(self):
-        return self.map(lambda c: -c)
+        return _map(neg, self)
 
     def __mul__(self, other):
         if isinstance(other, Series):
@@ -260,11 +247,8 @@ class Series(Analytic):
 
             def done(n):
                 # u*v ends after n once len(u) + len(v) <= n + 2
-                lu = pu.length()
-                if lu is None:
-                    return False
-                lv = pv.length()
-                return lv is not None and lu + lv <= n + 2
+                lu = pu.length(n + 1)
+                return lu is not None and pv.length(n + 2 - lu) is not None
 
             return _chain(Series, element, done)
         return self.scale(other)
@@ -295,10 +279,7 @@ class Series(Analytic):
 
             def done(n):
                 # Divided by a constant, a polynomial stays one.
-                if pv.length() != 1:
-                    return False
-                lu = pu.length()
-                return lu is not None and lu <= n + 1
+                return pv.length(1) == 1 and pu.length(n + 1) is not None
 
             w = _chain(Series, element, done)
             pq = _Prefix(w)
@@ -393,18 +374,9 @@ class _ZeroSeries(Series):
         return "<Series 0>"
 
 
-def _make_zero() -> Series:
-    z = _ZeroSeries.__new__(_ZeroSeries)
-    z._hs = 2  # forced
-    z._h = 0
-    z._ts = 2
-    z._t = z
-    z._index = 0
-    return z
-
-
-#: The compact all-zero series.
-ZERO = _make_zero()
+#: The compact all-zero series; its tail is itself.
+ZERO = _ZeroSeries.cons(0, None)
+ZERO._t = ZERO
 
 
 def sint(constant, u: Series) -> Series:
@@ -438,22 +410,24 @@ def _coeff_tail(c):
 class _Prefix:
     """The elements of a series or tower read so far, each forced once.
 
-    It also learns where the operand reaches the compact :data:`ZERO`;
-    derivative towers never reach it.
+    It also learns where the operand reaches the compact :data:`ZERO`,
+    from the operand's tails; derivative towers never reach it.
     """
 
-    __slots__ = ("_node", "_values", "_end")
+    __slots__ = ("_node", "_values", "_end", "_far", "_reach")
 
     def __init__(self, node):
-        self._node = node
+        self._node = node    # the node of the last element read, or the first
         self._values = []
         self._end = None
+        self._far = node     # the furthest node reached, at position _reach
+        self._reach = 0
 
     def upto(self, n):
         """The list of elements 0..n: shorter if the operand ends first,
         longer if more were read before."""
         values, node = self._values, self._node
-        while len(values) <= n and self._end is None:
+        while len(values) <= n and len(values) != self._end:
             if values:
                 node = node.tail
                 if node is ZERO:
@@ -461,17 +435,24 @@ class _Prefix:
                     break
             values.append(node.head)
             self._node = node
+        if len(values) > self._reach + 1:
+            self._far, self._reach = self._node, len(values) - 1
         return values
 
-    def length(self):
-        """The number of nodes before ZERO, or None if more may follow.
-
-        Beyond the elements read, this forces at most the tail of the last
-        node read, never an element.
-        """
-        if self._end is None and self._values and self._node.tail is ZERO:
-            self._end = len(self._values)
-        return self._end
+    def length(self, limit):
+        """The number of nodes before ZERO if it is at most ``limit``, else
+        None. This forces tails up to the node at position ``limit``, never
+        an element."""
+        node, k = self._far, self._reach
+        while self._end is None and k < limit:
+            node = node.tail
+            k += 1
+            if node is ZERO:
+                self._end = k
+            else:
+                self._far, self._reach = node, k
+        end = self._end
+        return end if end is not None and end <= limit else None
 
 
 def _chain(cls, element, done=None, n=0):
@@ -488,14 +469,20 @@ def _chain(cls, element, done=None, n=0):
 
 # -- lazy helpers (forcing only happens inside thunks) -------------------
 
-def _map_rest(u, f):
-    t = u.tail
-    return ZERO if t is ZERO else t.map(f)
+def _map(f, u):
+    # f is assumed to fix zero, so the compact zero tail maps to itself.
+    if u is ZERO:
+        return ZERO
+    return Series.pointwise(_map, (f, u, None))
 
 
-def _scale_rest(u, c):
-    t = u.tail
-    return ZERO if t is ZERO else t.scale(c)
+def _zip(op, u, v):
+    # u + v or u - v, with the short-cuts of ZERO on either side.
+    if v is ZERO:
+        return u
+    if u is ZERO:
+        return v if op is add else -v
+    return Series.pointwise(_zip, (op, u, v))
 
 
 def _diff_node(t):

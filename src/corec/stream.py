@@ -18,6 +18,8 @@ hanging. Indices are 0-based throughout.
 
 from __future__ import annotations
 
+from functools import partial
+from operator import add, mul, neg, sub
 from typing import Callable, Sequence
 
 from .cells import LazyPair, NonProductiveError
@@ -43,27 +45,27 @@ class Stream(LazyPair):
 
     def map(self, f: Callable) -> "Stream":
         """Elementwise ``f``, lazily; forces this stream only as far as read."""
-        return Stream(lambda: f(self.head), lambda: self.tail.map(f))
+        return _map(f, self)
 
     # Arithmetic is elementwise, matching how recurrences are written.
     # A scalar multiplier scales every element.
 
     def __add__(self, other):
         if isinstance(other, Stream):
-            return zip_with(lambda a, b: a + b, self, other)
+            return zip_with(add, self, other)
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, Stream):
-            return zip_with(lambda a, b: a - b, self, other)
+            return zip_with(sub, self, other)
         return NotImplemented
 
     def __neg__(self):
-        return self.map(lambda a: -a)
+        return _map(neg, self)
 
     def __mul__(self, other):
         if isinstance(other, Stream):
-            return zip_with(lambda a, b: a * b, self, other)
+            return zip_with(mul, self, other)
         return scale(other, self)
 
     def __rmul__(self, other):
@@ -87,13 +89,16 @@ def defer(fn: Callable[[], Stream]) -> Stream:
 
 def zip_with(f: Callable, a: Stream, b: Stream) -> Stream:
     """Stream whose element k is ``f(a_k, b_k)``."""
-    return Stream(lambda: f(a.head, b.head),
-                  lambda: zip_with(f, a.tail, b.tail))
+    return Stream.pointwise(zip_with, (f, a, b))
+
+
+def _map(f, a):
+    return Stream.pointwise(_map, (f, a, None))
 
 
 def scale(c, s: Stream) -> Stream:
     """Multiply every element by the scalar ``c``."""
-    return s.map(lambda v: c * v)
+    return _map(partial(mul, c), s)
 
 
 def delay(m: int, s: Stream, fill=0) -> Stream:

@@ -1,0 +1,132 @@
+"""Pointwise nodes, deferred nodes and the non-productivity message."""
+
+import os
+import weakref
+from operator import add
+
+import pytest
+
+from corec.cells import NonProductiveError
+from corec.dif import Dif
+from corec.series import Series, ZERO
+from corec.stream import Stream, defer, repeat, zip_with
+
+
+class _Tracked(Stream):
+    # Stream nodes that accept weak references.
+    __slots__ = ("__weakref__",)
+
+
+class _TrackedSeries(Series):
+    __slots__ = ("__weakref__",)
+
+
+_FILE = os.path.basename(__file__)
+
+
+def _where(marker):
+    # "file:line" of the line of this file that ends with the comment marker.
+    with open(__file__) as fh:
+        for number, line in enumerate(fh, 1):
+            if line.rstrip().endswith("# " + marker):
+                return "%s:%d" % (_FILE, number)
+    raise AssertionError(marker)
+
+
+def _non_productive_message(node):
+    with pytest.raises(NonProductiveError) as info:
+        node.head
+    return str(info.value)
+
+
+def test_zip_with_node_releases_its_operands_once_forced():
+    a = _Tracked.cons(1, repeat(1))
+    b = _Tracked.cons(2, repeat(2))
+    refs = [weakref.ref(a), weakref.ref(b)]
+    z = zip_with(add, a, b)
+    del a, b
+    assert z.head == 3
+    assert all(ref() is not None for ref in refs)  # the tail still needs them
+    assert z.tail.head == 3
+    assert all(ref() is None for ref in refs)
+
+
+def test_map_node_releases_its_operand_once_forced():
+    a = _Tracked.cons(5, repeat(1))
+    ref = weakref.ref(a)
+    m = a.map(lambda v: -v)
+    del a
+    assert m.tail.head == -1
+    assert ref() is not None  # the head still needs it
+    assert m.head == -5
+    assert ref() is None
+
+
+def test_series_sum_releases_its_operands_once_forced():
+    u = _TrackedSeries.cons(1, Series.from_list([2, 3]))
+    v = _TrackedSeries.cons(10, ZERO)
+    refs = [weakref.ref(u), weakref.ref(v)]
+    w = u - v
+    del u, v
+    assert w.coefficients(4) == [-9, 2, 3, 0]
+    # The tail of u - v is u's own tail, since v ends there.
+    assert w.tail.tail.tail is ZERO
+    assert all(ref() is None for ref in refs)
+
+
+def test_deferred_sum_is_non_productive():
+    ones = repeat(1)
+    s = defer(lambda: s + ones)  # defer-stream-sum
+    message = _non_productive_message(s)
+    assert _where("defer-stream-sum") in message
+    # The same definition fails the same way every time.
+    assert _non_productive_message(s) == message
+
+
+def test_deferred_series_sum_is_non_productive():
+    s = Series.defer(lambda: s + Series.from_list([1]))  # defer-series-sum
+    assert _where("defer-series-sum") in _non_productive_message(s)
+
+
+def test_deferred_tower_sum_is_non_productive():
+    d = Dif.defer(lambda: d + 1.0)  # defer-tower-sum
+    assert _where("defer-tower-sum") in _non_productive_message(d)
+
+
+def test_message_names_the_deferred_function():
+    x = defer(lambda: x.map(lambda v: v + 1))  # defer-map
+    message = _non_productive_message(x)
+    assert _where("defer-map") in message
+    assert "cells.py:" not in message.replace(_FILE, "")
+
+
+def test_message_names_the_op_of_a_pointwise_node():
+    def bump(v):
+        return v + 1
+
+    x = defer(lambda: y)
+    y = x.map(bump)
+    message = _non_productive_message(y)
+    assert "%s:%d" % (_FILE, bump.__code__.co_firstlineno) in message
+    assert "bump" in message
+
+
+def test_message_names_a_thunk_node():
+    s = Stream(lambda: s.head + 1, lambda: s)  # thunk-node
+    assert _where("thunk-node") in _non_productive_message(s)
+
+
+def test_failed_forcing_can_be_retried():
+    calls = []
+
+    def flaky(v):
+        calls.append(v)
+        if len(calls) == 1:
+            raise RuntimeError("first attempt")
+        return v * 2
+
+    m = repeat(3).map(flaky)
+    with pytest.raises(RuntimeError):
+        m.head
+    assert m.head == 6
+    assert m.take(2) == [6, 6]

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -174,3 +175,25 @@ def test_lambertw_past_float_binomials_exits_2():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
+
+
+def test_exact_values_print_past_the_int_digit_limit():
+    # 1/1699! has about 4,700 digits, past CPython's default limit of 4,300
+    # for int-to-text conversion; the values are exact, so they print.
+    proc = _run_module("series", "exp-demo", "--n", "1700")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1700
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = "1/%d" % math.factorial(1699)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(want) > 4300 and lines[-1] == want
+
+
+def test_arguments_keep_the_int_digit_limit():
+    proc = _run_module("series", "fibs", "--n", "1" * 5000)
+    assert proc.returncode == 1
+    assert "invalid int value" in proc.stderr

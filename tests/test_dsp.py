@@ -2,6 +2,7 @@ import cmath
 import hashlib
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from corec.dsp import (
     vibrato,
     write_wav,
 )
-from corec.stream import cons, repeat, take
+from corec.stream import Stream, cons, repeat, take
 
 
 def impulse():
@@ -244,6 +245,34 @@ def test_wav_golden_digest(tmp_path):
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == ("a268eefd2f3aba66fbdbac68d0698bbececc65fa"
                       "652a301dd2fe69fad299d3d4")
+
+
+class _Tracked(Stream):
+    # Stream nodes that accept weak references.
+    __slots__ = ("__weakref__",)
+
+
+def test_wav_writer_keeps_no_rendered_prefix(tmp_path):
+    # The render is a tracked first node followed by a map whose function
+    # looks, at sample 50,000, whether that first node is still alive.
+    refs, seen = [], []
+
+    def probe(x):
+        if len(seen) == 49_999:
+            seen.append(refs[0]() is None)
+        else:
+            seen.append(None)
+        return x
+
+    def tracked(rest):
+        node = _Tracked.cons(0.0, rest)
+        refs.append(weakref.ref(node))
+        return node
+
+    path = tmp_path / "long.wav"
+    write_wav(str(path), 8000, tracked(sine(0.05).map(probe)), 7.0)
+    assert len(seen) == 55_999
+    assert seen[49_999] is True
 
 
 def test_wav_never_leaves_partial_file(tmp_path):

@@ -166,6 +166,45 @@ def test_polynomial_products_end_in_zero_past_their_degree(a, b):
     assert _nodes_before_zero(u / c) == len(a)
 
 
+def _polynomial(values, forced):
+    # values, then ZERO; every coefficient read is recorded in forced.
+    node = ZERO
+    for k in reversed(range(len(values))):
+        node = Series(lambda k=k: forced.append(k) or values[k],
+                      lambda node=node: node)
+    return node
+
+
+def _tails_before_zero(node, limit=20):
+    # Walk by .tail alone, reading no coefficient.
+    count = 0
+    while node is not ZERO and count < limit:
+        node = node.tail
+        count += 1
+    return count
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(a=st.lists(exacts, min_size=1, max_size=6),
+       b=st.lists(exacts, min_size=1, max_size=6))
+def test_polynomial_ends_are_found_from_tails_alone(a, b):
+    forced = []
+    u, v = _polynomial(a, forced), _polynomial(b, forced)
+    assert _tails_before_zero(u * v) == len(a) + len(b) - 1
+    assert forced == []
+    # A quotient reads the divisor's constant term up front, and no more.
+    c = Series.from_list([b[0] or 1])
+    assert _tails_before_zero(u / c) == len(a)
+    assert forced == []
+
+
+def test_tails_of_a_product_of_two_polynomials_reach_zero():
+    p = Series.from_list([1, 2]) * Series.from_list([3, 4, 5])
+    for _ in range(4):
+        p = p.tail
+    assert p is ZERO
+
+
 def _counting(values, forced):
     # An infinite series that records the index of every coefficient forced.
     def at(k):
