@@ -8,14 +8,14 @@ series ``B_m`` with
 
 and the generating function is ``1 + x * B_1(x)``. Every family member is
 a fresh stream created on demand, so forcing N coefficients materializes
-O(N) member series; that is inherent to the open recurrence, not a leak.
+O(N) member series and keeps the N^2/4 sum nodes that the open recurrence
+reads (inherent to it, not a leak); a shift builds only the zeros read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .cells import LazyPair
 from .series import Series
@@ -90,8 +90,7 @@ def _revert_demo() -> Series:
     return Series.from_list([0, 1, 1]).revert()
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     domain: str  # "exact" or "float"
     producer: Callable[[], LazyPair]

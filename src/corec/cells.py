@@ -24,6 +24,7 @@ and :attr:`LazyPair.tail`, forces both:
 A deferred node (:meth:`LazyPair.defer`) is a thunk node that reads the
 head and the tail of the node its function returns; that function runs
 once, as the head thunk of a private cell forced by the same machine.
+:meth:`LazyPair.delayed` (``shift``, ``delay``) builds each fill when read.
 
 Each cell moves through three states: unevaluated, in progress, evaluated.
 A definition that is not productive, i.e. one whose cell k transitively
@@ -52,6 +53,7 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 from functools import partial
+from operator import index
 
 _UNFORCED = 0
 _FORCING = 1
@@ -122,6 +124,13 @@ class LazyPair:
         node._t = rule
         node._ops = ops
         return node
+
+    @classmethod
+    def delayed(cls, m, node, fill):
+        """``m`` copies of ``fill``, each built when read, then ``node``."""
+        if index(m) == 0:
+            return node
+        return cls.cons(fill, partial(cls.delayed, m - 1, node, fill))
 
     @classmethod
     def defer(cls, fn):

@@ -11,7 +11,8 @@ One subcommand per showcase area::
 
 Exit status: 0 on success, 1 on a usage error, 2 on a computation error
 (domain violations, non-productive definitions, I/O failures, floats
-that leave the float range). Identical invocations produce byte-identical
+that leave the float range, definitions too deep for the recursion limit,
+running out of memory). Identical invocations produce byte-identical
 output.
 """
 
@@ -184,6 +185,9 @@ def _audio_stream(args):
 def _run_audio(args) -> int:
     # The stream goes straight to the writer, which keeps no reference to
     # its first node, so the rendered prefix is freed as it is written.
+    # The rate is checked first because the generators divide by it.
+    if args.rate <= 0:
+        raise ValueError("write_wav: rate must be > 0")
     path = write_wav(args.out, args.rate, _audio_stream(args), args.dur)
     frames = int(args.rate * args.dur)
     print("wrote %s (%d frames at %d Hz)" % (path, frames, args.rate))
@@ -204,7 +208,7 @@ def main(argv=None) -> int:
     try:
         return _RUNNERS[args.command](args)
     except (NonProductiveError, ValueError, ZeroDivisionError,
-            ArithmeticError, OSError) as exc:
+            ArithmeticError, OSError, RecursionError, MemoryError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return _COMPUTE_EXIT
 

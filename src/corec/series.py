@@ -194,15 +194,10 @@ class Series(Analytic):
         return _map(partial(mul, c), self)
 
     def shift(self, m: int) -> "Series":
-        """Multiply by x**m, i.e. prepend ``m`` zero coefficients."""
+        """Multiply by x**m: ``m`` zeros, each built when read, then self."""
         if m < 0:
             raise ValueError("shift: m must be >= 0")
-        if self is ZERO:
-            return ZERO
-        node = self
-        for _ in range(m):
-            node = Series.cons(0, node)
-        return node
+        return ZERO if self is ZERO else Series.delayed(m, self, 0)
 
     # -- ring arithmetic ----------------------------------------------
 

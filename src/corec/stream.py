@@ -102,12 +102,10 @@ def scale(c, s: Stream) -> Stream:
 
 
 def delay(m: int, s: Stream, fill=0) -> Stream:
-    """``m`` copies of ``fill`` followed by ``s``."""
+    """``m`` copies of ``fill``, each built when read, then ``s``."""
     if m < 0:
         raise ValueError("delay: m must be >= 0")
-    if m == 0:
-        return s
-    return Stream.cons(fill, lambda: delay(m - 1, s, fill))
+    return Stream.delayed(m, s, fill)
 
 
 def prepend(prefix: Sequence, s: Stream) -> Stream:

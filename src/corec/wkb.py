@@ -25,7 +25,7 @@ point as its input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dif import Dif
 from .series import Series, ZERO
@@ -33,8 +33,7 @@ from .series import Series, ZERO
 __all__ = ["WkbResult", "add_to_tail", "wkb_expand", "airy_s0_prime"]
 
 
-@dataclass(frozen=True)
-class WkbResult:
+class WkbResult(NamedTuple):
     """Both expansions plus their per-coefficient values at the point.
 
     ``u`` and ``v_prime`` have derivative-tower coefficients indexed by

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from corec import cli
 from corec.cli import main
 
 
@@ -138,6 +139,26 @@ def test_audio_error_leaves_no_file(tmp_path, capsys):
     capsys.readouterr()
     assert not target.exists()
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("rate", ["0", "-8000"])
+def test_audio_rate_must_be_positive(tmp_path, capsys, rate):
+    target = tmp_path / "out.wav"
+    code = main(["audio", "sine", "--out", str(target), "--rate", rate])
+    assert code == 2
+    assert capsys.readouterr().err == "error: write_wav: rate must be > 0\n"
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("exc", [RecursionError("too deep"),
+                                 MemoryError("out of memory")])
+def test_depth_and_memory_errors_exit_2(monkeypatch, capsys, exc):
+    def runner(args):
+        raise exc
+
+    monkeypatch.setitem(cli._RUNNERS, "series", runner)
+    assert main(["series", "fibs"]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % exc
 
 
 def _run_module(*argv):

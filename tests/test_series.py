@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -343,6 +344,38 @@ def test_monomial():
     shifted = Series.monomial(2) * u
     assert shifted.coefficients(5) == [0, 0, 5, 6, 0]
     assert u.shift(2).coefficients(5) == [0, 0, 5, 6, 0]
+
+
+def test_shift_builds_its_zeros_when_read():
+    u = Series.from_list([5, 6])
+    assert u.shift(0) is u
+    assert ZERO.shift(5) is ZERO
+    shifted = u.shift(3)
+    assert repr(shifted) == "<Series [0...]>"
+    assert shifted.coefficients(2) == [0, 0]
+    assert repr(shifted) == "<Series [0, 0, 0...]>"
+    assert Series.from_list([1]).shift(10**9).take(3) == [0, 0, 0]
+    with pytest.raises(TypeError):
+        u.shift(2.5)
+    with pytest.raises(ValueError):
+        u.shift(-1)
+
+
+def test_partitions_keep_only_the_window_the_recurrence_reads():
+    # Member m of the family adds x^(m-1) * B_m to B_(m+1), and the sum
+    # reads about n - m zeros of that shift; the zeros past them must not
+    # be built and pinned inside the finished cycle (n^2/2 nodes, against
+    # the n^2/4 sum nodes the recurrence itself keeps).
+    from corec.catalog import partitions
+
+    def live_series():
+        return sum(1 for o in gc.get_objects() if isinstance(o, Series))
+
+    gc.collect()
+    before = live_series()
+    p = partitions()
+    assert p.take(200)[-1] == 3646072432125
+    assert live_series() - before < 0.3 * 200 ** 2
 
 
 def test_transpose_window():

@@ -97,6 +97,16 @@ def test_delay():
         delay(-1, s, 0)
 
 
+def test_delay_builds_its_fill_when_read():
+    s = make_integs()
+    d = delay(3, s, 0)
+    assert repr(d) == "<Stream [0...]>"
+    assert take(5, d) == [0, 0, 0, 1, 2]
+    assert take(3, delay(10**9, s, 0.5)) == [0.5, 0.5, 0.5]
+    with pytest.raises(TypeError):
+        delay(2.5, s, 0)
+
+
 def test_prepend():
     assert take(3, prepend([9], make_ones())) == [9, 1, 1]
     s = make_integs()
