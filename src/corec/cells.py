@@ -7,19 +7,26 @@ capture a handle to the structure it is defining; they are sound whenever
 forcing element k only ever needs elements at indices strictly below k
 ("finite progress").
 
-A node is one of two kinds, and one state machine, :attr:`LazyPair.head`
-and :attr:`LazyPair.tail`, forces both:
+A node is one of two kinds, and one state machine, the functions
+:func:`_head` and :func:`_tail` (the ``head``/``tail`` properties wrap
+them), forces both:
 
 - a *thunk node* holds a zero-argument thunk for each cell;
-- a *pointwise node* holds ``(op, a, b)`` and a tail rule. Its head is
-  ``op(a.head, b.head)`` and its tail is ``rule(op, a.tail, b.tail)``; a
-  unary node holds ``(op, a, None)``, so the machine unpacks it without a
-  length test. Elementwise operations (``map``, ``zip_with``, ``+``,
-  ``-``, negation, ``scale``) thus allocate one node per element and no
-  closures. The rule is where an algebra keeps its short-cuts (a series
-  plus ``ZERO`` is the series). As soon as both cells of a pointwise node
-  are forced it drops its operands, so a forced prefix pins no operand
-  nodes.
+- a *pointwise node* (:func:`pointwise`) holds ``(op, a, b)`` and a tail
+  rule. Its head is ``op(a.head, b.head)`` and its tail is ``rule(op,
+  a.tail, b.tail)``; a unary node holds ``(op, a, None)``, so the machine
+  unpacks it without a length test. Elementwise operations (``map``,
+  ``zip_with``, ``+``, ``-``, negation, ``scale``) thus allocate one node
+  per element and no closures. The rule is where an algebra keeps its
+  short-cuts (a series plus ``ZERO`` is the series). A rule only builds
+  nodes and never forces, so when a head is forced while the operands'
+  tails already are, the successor is built at once; a rule that raises
+  there is run again, and raises, at ``.tail``. Once both cells are
+  forced the node drops its operands, so a forced prefix pins no operand
+  nodes. Forcing an operand is a plain Python call, which CPython 3.11
+  runs without C stack, so a pointwise chain is limited only by the
+  recursion limit; thunks and ``defer`` still reach through the
+  properties and use C stack per level.
 
 A deferred node (:meth:`LazyPair.defer`) is a thunk node that reads the
 head and the tail of the node its function returns; that function runs
@@ -80,6 +87,88 @@ def _stack_headroom(wanted):
         sys.setrecursionlimit(old)
 
 
+def _head(node):
+    """The head of ``node``, forced once; operand heads are forced first."""
+    state = node._hs
+    if state == _FORCED:
+        return node._h
+    if state == _FORCING:
+        raise _cycle(node, "head")
+    node._hs = _FORCING
+    ops = node._ops
+    try:
+        if ops is None:
+            value = node._h()
+        else:
+            # A forced operand is read from its slot, without a call.
+            op, a, b = ops
+            x = a._h if a._hs == _FORCED else _head(a)
+            if b is None:
+                value = op(x)
+            else:
+                value = op(x, b._h if b._hs == _FORCED else _head(b))
+    except BaseException:
+        node._hs = _UNFORCED
+        raise
+    node._h = value
+    node._hs = _FORCED
+    if ops is not None:
+        state = node._ts
+        if state == _UNFORCED and a._ts == _FORCED and (b is None or b._ts == _FORCED):
+            # The successor's operands are at hand: build it now. A rule
+            # that raises is left for the tail to run again.
+            try:
+                node._t = node._t(op, a._t) if b is None else node._t(op, a._t, b._t)
+            except Exception:
+                return value
+            node._ts = _FORCED
+            node._ops = None
+        elif state == _FORCED:
+            node._ops = None
+    return value
+
+
+def _tail(node):
+    """The tail of ``node``, forced once; operand tails are forced first."""
+    state = node._ts
+    if state == _FORCED:
+        return node._t
+    if state == _FORCING:
+        raise _cycle(node, "tail")
+    node._ts = _FORCING
+    ops = node._ops
+    try:
+        if ops is None:
+            rest = node._t()
+        else:
+            op, a, b = ops
+            a = a._t if a._ts == _FORCED else _tail(a)
+            if b is None:
+                rest = node._t(op, a)
+            else:
+                rest = node._t(op, a, b._t if b._ts == _FORCED else _tail(b))
+    except BaseException:
+        node._ts = _UNFORCED
+        raise
+    node._t = rest
+    node._ts = _FORCED
+    if node._hs == _FORCED:
+        node._ops = None
+    return rest
+
+
+def pointwise(cls, rule, op, a, b=None):
+    """A ``cls`` node whose head is ``op(a.head)`` and whose tail is
+    ``rule(op, a.tail)``; with ``b`` they are ``op(a.head, b.head)`` and
+    ``rule(op, a.tail, b.tail)``."""
+    node = cls.__new__(cls)
+    node._hs = _UNFORCED
+    node._ts = _UNFORCED
+    node._t = rule
+    node._ops = (op, a, b)
+    return node
+
+
 class LazyPair:
     """Base for head/tail structures built from guarded memoized cells.
 
@@ -113,19 +202,6 @@ class LazyPair:
         return node
 
     @classmethod
-    def pointwise(cls, rule, ops):
-        """Node whose head is ``op(a.head)`` and whose tail is
-        ``rule(op, a.tail)`` for ``ops = (op, a, None)``; with ``ops =
-        (op, a, b)`` they are ``op(a.head, b.head)`` and
-        ``rule(op, a.tail, b.tail)``."""
-        node = cls.__new__(cls)
-        node._hs = _UNFORCED
-        node._ts = _UNFORCED
-        node._t = rule
-        node._ops = ops
-        return node
-
-    @classmethod
     def delayed(cls, m, node, fill):
         """``m`` copies of ``fill``, each built when read, then ``node``."""
         if index(m) == 0:
@@ -144,62 +220,8 @@ class LazyPair:
         cell = LazyPair(fn, fn)
         return cls(partial(_real_head, cell), partial(_real_tail, cell))
 
-    @property
-    def head(self):
-        state = self._hs
-        if state == _FORCED:
-            return self._h
-        if state == _FORCING:
-            raise _cycle(self, "head")
-        self._hs = _FORCING
-        ops = self._ops
-        try:
-            if ops is None:
-                value = self._h()
-            else:
-                # A forced operand is read from its slot, without a call.
-                op, a, b = ops
-                a = a._h if a._hs == _FORCED else a.head
-                if b is None:
-                    value = op(a)
-                else:
-                    value = op(a, b._h if b._hs == _FORCED else b.head)
-        except BaseException:
-            self._hs = _UNFORCED
-            raise
-        self._h = value
-        self._hs = _FORCED
-        if self._ts == _FORCED:
-            self._ops = None
-        return value
-
-    @property
-    def tail(self):
-        state = self._ts
-        if state == _FORCED:
-            return self._t
-        if state == _FORCING:
-            raise _cycle(self, "tail")
-        self._ts = _FORCING
-        ops = self._ops
-        try:
-            if ops is None:
-                node = self._t()
-            else:
-                op, a, b = ops
-                a = a._t if a._ts == _FORCED else a.tail
-                if b is None:
-                    node = self._t(op, a)
-                else:
-                    node = self._t(op, a, b._t if b._ts == _FORCED else b.tail)
-        except BaseException:
-            self._ts = _UNFORCED
-            raise
-        self._t = node
-        self._ts = _FORCED
-        if self._hs == _FORCED:
-            self._ops = None
-        return node
+    head = property(_head)
+    tail = property(_tail)
 
     def take(self, n):
         """Force and return the first ``n`` elements as a list."""
@@ -209,8 +231,8 @@ class LazyPair:
         node = self
         with _stack_headroom(2048 + 16 * n):
             for _ in range(n):
-                out.append(node.head)
-                node = node.tail
+                out.append(node._h if node._hs == _FORCED else _head(node))
+                node = node._t if node._ts == _FORCED else _tail(node)
         return out
 
     def at(self, k):
@@ -244,16 +266,16 @@ class LazyPair:
 
 def _elements(node):
     while True:
-        yield node.head
-        node = node.tail
+        yield node._h if node._hs == _FORCED else _head(node)
+        node = node._t if node._ts == _FORCED else _tail(node)
 
 
 def _real_head(cell):
-    return cell.head.head
+    return _head(_head(cell))
 
 
 def _real_tail(cell):
-    return cell.head.tail
+    return _tail(_head(cell))
 
 
 def _cycle(node, part):

@@ -38,6 +38,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from operator import add, mul, neg, sub
 
+from .cells import pointwise
 from .coeffs import divide, dot, scalar_cos, scalar_exp, scalar_recip, scalar_sin
 from .series import Analytic, Series, ZERO as SERIES_ZERO, _chain, _Prefix
 
@@ -203,14 +204,14 @@ def _map(op, a):
     # Elementwise op; it maps a compact constant to a compact constant.
     if isinstance(a, _Const):
         return _Const(op(a.value))
-    return Dif.pointwise(_map, (op, a, None))
+    return pointwise(Dif, _map, op, a)
 
 
 def _combine(op, a, b):
     # a + b or a - b, elementwise; two compact constants stay compact.
     if isinstance(a, _Const) and isinstance(b, _Const):
         return _Const(op(a.value, b.value))
-    return Dif.pointwise(_zip, (op, a, b))
+    return pointwise(Dif, _zip, op, a, b)
 
 
 def _zip(op, a, b):

@@ -41,7 +41,7 @@ from functools import partial
 from operator import add, mul, neg, sub
 from typing import Callable
 
-from .cells import LazyPair
+from .cells import LazyPair, _head, _tail, pointwise
 from .coeffs import (
     divide,
     dot,
@@ -169,7 +169,7 @@ class Series(Analytic):
         """x**m: coefficient m is 1, every other coefficient 0."""
         if m < 0:
             raise ValueError("monomial: power must be >= 0")
-        return cls.from_list([0] * m + [1])
+        return cls.cons(1, ZERO).shift(m)
 
     # -- reading -----------------------------------------------------
 
@@ -424,11 +424,11 @@ class _Prefix:
         values, node = self._values, self._node
         while len(values) <= n and len(values) != self._end:
             if values:
-                node = node.tail
+                node = _tail(node)
                 if node is ZERO:
                     self._end = len(values)
                     break
-            values.append(node.head)
+            values.append(_head(node))
             self._node = node
         if len(values) > self._reach + 1:
             self._far, self._reach = self._node, len(values) - 1
@@ -440,7 +440,7 @@ class _Prefix:
         an element."""
         node, k = self._far, self._reach
         while self._end is None and k < limit:
-            node = node.tail
+            node = _tail(node)
             k += 1
             if node is ZERO:
                 self._end = k
@@ -468,7 +468,7 @@ def _map(f, u):
     # f is assumed to fix zero, so the compact zero tail maps to itself.
     if u is ZERO:
         return ZERO
-    return Series.pointwise(_map, (f, u, None))
+    return pointwise(Series, _map, f, u)
 
 
 def _zip(op, u, v):
@@ -477,7 +477,7 @@ def _zip(op, u, v):
         return u
     if u is ZERO:
         return v if op is add else -v
-    return Series.pointwise(_zip, (op, u, v))
+    return pointwise(Series, _zip, op, u, v)
 
 
 def _diff_node(t):

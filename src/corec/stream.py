@@ -22,7 +22,7 @@ from functools import partial
 from operator import add, mul, neg, sub
 from typing import Callable, Sequence
 
-from .cells import LazyPair, NonProductiveError
+from .cells import LazyPair, NonProductiveError, pointwise
 
 __all__ = [
     "Stream",
@@ -89,11 +89,11 @@ def defer(fn: Callable[[], Stream]) -> Stream:
 
 def zip_with(f: Callable, a: Stream, b: Stream) -> Stream:
     """Stream whose element k is ``f(a_k, b_k)``."""
-    return Stream.pointwise(zip_with, (f, a, b))
+    return pointwise(Stream, zip_with, f, a, b)
 
 
 def _map(f, a):
-    return Stream.pointwise(_map, (f, a, None))
+    return pointwise(Stream, _map, f, a)
 
 
 def scale(c, s: Stream) -> Stream:

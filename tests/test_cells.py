@@ -1,6 +1,8 @@
 """Pointwise nodes, deferred nodes and the non-productivity message."""
 
 import os
+import subprocess
+import sys
 import weakref
 from operator import add
 
@@ -46,9 +48,70 @@ def test_zip_with_node_releases_its_operands_once_forced():
     z = zip_with(add, a, b)
     del a, b
     assert z.head == 3
+    # Both operand tails are forced, so the head builds the successor too.
+    assert all(ref() is None for ref in refs)
+    assert z.tail.head == 3
+
+
+def test_zip_with_node_keeps_its_operands_while_a_tail_is_unforced():
+    a = _Tracked.cons(1, repeat(1))
+    b = _Tracked.cons(2, lambda: repeat(2))
+    refs = [weakref.ref(a), weakref.ref(b)]
+    z = zip_with(add, a, b)
+    del a, b
+    assert z.head == 3
     assert all(ref() is not None for ref in refs)  # the tail still needs them
     assert z.tail.head == 3
     assert all(ref() is None for ref in refs)
+
+
+def test_head_runs_the_op_once_and_no_user_code_for_the_successor():
+    calls = []
+
+    def f(v):
+        calls.append(v)
+        return -v
+
+    m = Stream.cons(2, repeat(3)).map(f)
+    assert m.head == -2
+    assert calls == [2]
+    assert m.take(3) == [-2, -3, -3]
+    assert calls == [2, 3, 3]
+
+
+def test_a_failing_successor_leaves_the_head_and_fails_at_the_tail():
+    # The successor of the sum adds the two constant tails, and 10**400
+    # does not fit a float.
+    d = Dif.cons(1.0, Dif.const(10 ** 400)) + Dif.cons(2.0, Dif.const(1.5))
+    assert d.head == 3.0
+    for _ in range(2):
+        with pytest.raises(OverflowError):
+            d.tail
+
+
+def test_deep_pointwise_chains_force_their_head_without_a_crash():
+    # Forcing a pointwise operand is a plain Python call, which CPython
+    # 3.11 runs without C stack; a deeper C recursion would crash.
+    script = (
+        "import sys\n"
+        "sys.setrecursionlimit(100_000)\n"
+        "from corec.series import Series\n"
+        "from corec.stream import repeat\n"
+        "s = repeat(-1.0)\n"
+        "for _ in range(40_000):\n"
+        "    s = s.map(abs)\n"
+        "u = Series.from_list([1, 2])\n"
+        "for _ in range(40_000):\n"
+        "    u = -u\n"
+        "print(s.head, u.head)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1.0", "1"]
 
 
 def test_map_node_releases_its_operand_once_forced():

@@ -344,6 +344,14 @@ def test_monomial():
     shifted = Series.monomial(2) * u
     assert shifted.coefficients(5) == [0, 0, 5, 6, 0]
     assert u.shift(2).coefficients(5) == [0, 0, 5, 6, 0]
+    with pytest.raises(ValueError):
+        Series.monomial(-1)
+
+
+def test_monomial_builds_its_zeros_when_read():
+    m = Series.monomial(10 ** 6)
+    assert repr(m) == "<Series [0...]>"
+    assert m.take(2) == [0, 0]
 
 
 def test_shift_builds_its_zeros_when_read():
