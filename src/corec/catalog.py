@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 from .cells import LazyPair
 from .series import Series
-from .stream import Stream, cons
+from .stream import Stream, cons, repeat
 
 __all__ = [
     "ones",
@@ -34,8 +34,7 @@ __all__ = [
 
 def ones() -> Stream:
     """1, 1, 1, ..."""
-    s = cons(1, lambda: s)
-    return s
+    return repeat(1)
 
 
 def integers() -> Stream:

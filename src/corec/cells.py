@@ -28,6 +28,18 @@ them), forces both:
   recursion limit; thunks and ``defer`` still reach through the
   properties and use C stack per level.
 
+Products, quotients, integrals and derivatives of series and towers are
+pointwise nodes over a series of indices (``series._indices``): element n
+is ``element(n)``, and the result ends where the indices end. Where a
+polynomial product ends is known only by walking operand tails, and a
+rule must not force, so that question (``done``) is asked in the thunk of
+the index node's tail, which runs only when the result's tail is forced.
+The library's thunk nodes are the user-level definitions of the catalog,
+``dsp`` and ``qft``, ``defer`` and ``delayed``, and a few that build one
+node per level or row rather than per element, or whose end needs a rule
+of its own: ``compose``'s Horner scheme, ``transpose``,
+``taylor_from_tower`` and ``wkb.add_to_tail``.
+
 A deferred node (:meth:`LazyPair.defer`) is a thunk node that reads the
 head and the tail of the node its function returns; that function runs
 once, as the head thunk of a private cell forced by the same machine.

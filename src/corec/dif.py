@@ -11,8 +11,9 @@ Element k is the k-th derivative itself, not the Taylor coefficient
 e^(k)/k!, which would underflow a float past k = 170. The linear
 operations work elementwise. A product computes its element n from the
 memoized prefixes of its operands by the Leibniz sum
-``sum_k comb(n, k) a_k b_(n-k)``, a quotient solves that sum for its own
-element n, and the tail of either is the next node of the same chain.
+``sum_k comb(n, k) a_k b_(n-k)``, and a quotient solves that sum for its
+own element n; either is a pointwise node that maps that element function
+over the series of indices 0, 1, 2, ...
 The elementary functions (exp, log, sqrt, pow, sin, cos, atan, asin,
 recip) are inherited from :class:`corec.series.Analytic`, which defines
 each once for series and towers as a co-recursion over products and
@@ -40,7 +41,7 @@ from operator import add, mul, neg, sub
 
 from .cells import pointwise
 from .coeffs import divide, dot, scalar_cos, scalar_exp, scalar_recip, scalar_sin
-from .series import Analytic, Series, ZERO as SERIES_ZERO, _chain, _Prefix
+from .series import Analytic, Series, ZERO as SERIES_ZERO, _indices, _Prefix
 
 __all__ = ["Dif", "ZERO_TOWER", "damped_sine", "lambert_w_tower", "taylor_from_tower"]
 
@@ -133,7 +134,7 @@ class Dif(Analytic):
             return dot(pa.upto(n)[:n + 1], pb.upto(n)[n::-1],
                        weights=_binomials(n), start=0)
 
-        return _chain(Dif, element)
+        return _map(element, _indices(0))
 
     __rmul__ = __mul__
 
@@ -167,7 +168,7 @@ class Dif(Analytic):
                        weights=_binomials(n)[1:], start=0)
             return divide(pa.upto(n)[n] - rest, y[0])
 
-        w = _chain(Dif, element)
+        w = _map(element, _indices(0))
         pq = _Prefix(w)
         return w
 
@@ -266,7 +267,7 @@ def _lowered(a, pa, k):
             v = divide(v, j)
         return v
 
-    return _chain(Dif, element)
+    return _map(element, _indices(0))
 
 
 # -- showcase towers ------------------------------------------------------

@@ -21,7 +21,6 @@ from array import array
 from itertools import islice
 from typing import Sequence
 
-from .cells import _stack_headroom
 from .stream import Stream, cons, defer, delay, prepend, scale, zip_with
 
 __all__ = [
@@ -145,7 +144,9 @@ def write_wav(path: str, rate: int, s: Stream, seconds: float) -> str:
     keeps its first node, so memory stays bounded by what the definition
     itself keeps, if the caller keeps no reference either. The file is
     written to a temporary name in the target directory and renamed into
-    place, so a failure never leaves a partial file at ``path``.
+    place, so a failure never leaves a partial file at ``path``. Samples
+    are forced as iteration forces them, under the caller's recursion
+    limit, so a definition deeper than that limit raises ``RecursionError``.
     """
     if rate <= 0:
         raise ValueError("write_wav: rate must be > 0")
@@ -164,7 +165,7 @@ def write_wav(path: str, rate: int, s: Stream, seconds: float) -> str:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".wav.part")
     try:
-        with os.fdopen(fd, "wb") as fh, _stack_headroom(2048 + 16 * frames):
+        with os.fdopen(fd, "wb") as fh:
             fh.write(header)
             for start in range(0, frames, _CHUNK):
                 count = min(_CHUNK, frames - start)

@@ -16,18 +16,23 @@ Multiplication is the Cauchy product: coefficient n of ``u * v`` is
 ``sum_k u_k v_(n-k)``, computed from the memoized prefixes of the operands
 and summed from the highest k down. Division solves the same sum for its
 own coefficient, ``q_n = (u_n - sum_(j<n) q_j v_(n-j)) / v_0``, which needs
-an invertible leading coefficient and never cancels powers of x. Either
-way n coefficients cost O(n^2) coefficient operations, and exact terms are
-put over one common denominator and reduced once per coefficient
+an invertible leading coefficient and never cancels powers of x. Either is
+a pointwise node that maps its element function over the series of indices
+0, 1, 2, ..., much as an integral maps ``u_(k-1) / k`` and a derivative
+``u_(k+1) * (k+1)`` along the indices from 1. Either way n coefficients
+cost O(n^2) coefficient operations, and exact terms are put over one
+common denominator and reduced once per coefficient
 (:func:`corec.coeffs.dot`). Coefficient n reads no operand coefficient
 beyond n. A product of two polynomials ends in :data:`ZERO` past the sum
 of their degrees, and a polynomial divided by a constant ends where the
 polynomial does; to see where an operand ends, the result walks the
 operand's tails, never reading a coefficient for it, so the end is found
-even when only the result's tails are walked. The elementary functions
-are defined by their integral equations, e.g. ``W = exp U`` satisfies
-``W = exp(u0) + integral(W * U')``. Equality of series is deliberately not
-an operation; tests and callers compare finite coefficient windows.
+even when only the result's tails are walked. The index series asks this
+in the thunk of its own tail, so only reading the result's tail walks the
+operands. The elementary functions are defined by their integral
+equations, e.g. ``W = exp U`` satisfies ``W = exp(u0) + integral(W * U')``.
+Equality of series is deliberately not an operation; tests and callers
+compare finite coefficient windows.
 
 The elementary functions live on :class:`Analytic`, the base class that
 series share with derivative towers (:class:`corec.dif.Dif`): both are
@@ -152,7 +157,8 @@ class Series(Analytic):
     @classmethod
     def _solve(cls, value, derivative):
         # W = value + integral(W')
-        return Series.cons(value, lambda: _integral_tail(derivative(), 1))
+        return Series.cons(value,
+                           lambda: _along(divide, derivative(), _indices(1)))
 
     # -- construction ------------------------------------------------
 
@@ -202,23 +208,19 @@ class Series(Analytic):
     # -- ring arithmetic ----------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Series):
-            return _zip(add, self, other)
-        # scalar: adds to the constant term
-        if self is ZERO:
-            return Series.cons(other, ZERO)
-        u = self
-        return Series(lambda: u.head + other, lambda: u.tail)
+        if not isinstance(other, Series):
+            # scalar: adds to the constant term
+            other = Series.cons(other, ZERO)
+        return _zip(add, self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Series):
-            return _zip(sub, self, other)
-        u = self
-        if u is ZERO:
-            return Series.cons(-other, ZERO)
-        return Series(lambda: u.head - other, lambda: u.tail)
+        if not isinstance(other, Series):
+            if self is ZERO:
+                return Series.cons(-other, ZERO)
+            other = Series.cons(other, ZERO)
+        return _zip(sub, self, other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -245,7 +247,7 @@ class Series(Analytic):
                 lu = pu.length(n + 1)
                 return lu is not None and pv.length(n + 2 - lu) is not None
 
-            return _chain(Series, element, done)
+            return _map(element, _indices(0, done))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -276,7 +278,7 @@ class Series(Analytic):
                 # Divided by a constant, a polynomial stays one.
                 return pv.length(1) == 1 and pu.length(n + 1) is not None
 
-            w = _chain(Series, element, done)
+            w = _map(element, _indices(0, done))
             pq = _Prefix(w)
             return w
         c = Fraction(other) if isinstance(other, int) else other
@@ -306,7 +308,7 @@ class Series(Analytic):
         u = self
         if u is ZERO:
             return ZERO
-        return Series.defer(lambda: _diff_node(u.tail))
+        return Series.defer(lambda: _along(mul, u.tail, _indices(1)))
 
     _derivation = diff
 
@@ -316,8 +318,7 @@ class Series(Analytic):
             if isinstance(constant, (int, float, Fraction)) and constant == 0:
                 return ZERO
             return Series.cons(constant, ZERO)
-        u = self
-        return Series.cons(constant, lambda: _integral_tail(u, 1))
+        return Series.cons(constant, _along(divide, self, _indices(1)))
 
     # -- composition ----------------------------------------------------
 
@@ -450,22 +451,24 @@ class _Prefix:
         return end if end is not None and end <= limit else None
 
 
-def _chain(cls, element, done=None, n=0):
-    # The cls node whose element n is element(n): one memoized node per
-    # index, each tail the next node of the same chain, or ZERO once
-    # done(n) says that every element after n is zero.
-    def rest():
-        if done is not None and done(n):
-            return ZERO
-        return _chain(cls, element, done, n + 1)
+def _indices(n, done=None):
+    # The series n, n + 1, ...; each tail builds the next node when read,
+    # and is ZERO after the first m for which done(m) is true. done walks
+    # operand tails, so it runs only here, when a result's tail is forced.
+    return Series.cons(n, partial(_next_index, n, done))
 
-    return cls(lambda: element(n), rest)
+
+def _next_index(n, done):
+    if done is not None and done(n):
+        return ZERO
+    return _indices(n + 1, done)
 
 
 # -- lazy helpers (forcing only happens inside thunks) -------------------
 
 def _map(f, u):
-    # f is assumed to fix zero, so the compact zero tail maps to itself.
+    # f is assumed to fix zero, so the compact zero tail maps to itself;
+    # over _indices, the result ends where the indices do.
     if u is ZERO:
         return ZERO
     return pointwise(Series, _map, f, u)
@@ -480,27 +483,8 @@ def _zip(op, u, v):
     return pointwise(Series, _zip, op, u, v)
 
 
-def _diff_node(t):
-    if t is ZERO:
-        return ZERO
-    return _diff_scaled(t, 1)
-
-
-def _diff_scaled(t, k):
-    return Series(lambda: t.head * k, lambda: _diff_scaled_rest(t, k))
-
-
-def _diff_scaled_rest(t, k):
-    tt = t.tail
-    return ZERO if tt is ZERO else _diff_scaled(tt, k + 1)
-
-
-def _integral_tail(u, k):
+def _along(op, u, ks):
+    # Element k is op(u_k, ks_k); the result ends where u does.
     if u is ZERO:
         return ZERO
-    return Series(lambda: divide(u.head, k),
-                  lambda: _integral_rest(u, k))
-
-
-def _integral_rest(u, k):
-    return _integral_tail(u.tail, k + 1)
+    return pointwise(Series, _along, op, u, ks)

@@ -9,7 +9,7 @@ from operator import add
 import pytest
 
 from corec.cells import NonProductiveError
-from corec.dif import Dif
+from corec.dif import Dif, ZERO_TOWER
 from corec.series import Series, ZERO
 from corec.stream import Stream, defer, repeat, zip_with
 
@@ -172,6 +172,18 @@ def test_message_names_the_op_of_a_pointwise_node():
     message = _non_productive_message(y)
     assert "%s:%d" % (_FILE, bump.__code__.co_firstlineno) in message
     assert "bump" in message
+
+
+def test_a_cycle_at_a_series_product_names_its_element_function():
+    v = Series(lambda: p.head, lambda: ZERO)
+    p = Series.from_list([1, 2]) * v
+    assert "(Series.__mul__.<locals>.element)" in _non_productive_message(p)
+
+
+def test_a_cycle_at_a_tower_product_names_its_element_function():
+    v = Dif(lambda: p.head, lambda: ZERO_TOWER)
+    p = Dif.var(1) * v
+    assert "(Dif.__mul__.<locals>.element)" in _non_productive_message(p)
 
 
 def test_message_names_a_thunk_node():

@@ -1,7 +1,10 @@
 import cmath
 import hashlib
 import math
+import os
 import struct
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -285,6 +288,40 @@ def test_wav_never_leaves_partial_file(tmp_path):
     with pytest.raises(RuntimeError):
         write_wav(str(target), 8000, bad, 0.5)
     assert not target.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_wav_renders_under_the_callers_recursion_limit(tmp_path):
+    limits = set()
+
+    def record(x):
+        limits.add(sys.getrecursionlimit())
+        return x
+
+    write_wav(str(tmp_path / "s.wav"), 1000, sine(0.05).map(record), 4.0)
+    assert limits == {sys.getrecursionlimit()}
+
+
+def test_wav_of_a_too_deep_stream_raises_recursion_error(tmp_path):
+    # A thunk chain uses C stack per level; under a raised limit this
+    # one would overflow the main thread's stack and kill the process.
+    script = (
+        "import sys\n"
+        "from corec.dsp import write_wav\n"
+        "from corec.stream import Stream, repeat\n"
+        "q = repeat(1.0)\n"
+        "for _ in range(20_000):\n"
+        "    q = Stream(lambda q=q: q.head * 0.5, lambda q=q: q)\n"
+        "write_wav(sys.argv[1], 1000, q, 4.0)\n"
+    )
+    target = tmp_path / "deep.wav"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, str(target)], env=env,
+                          timeout=60, capture_output=True, text=True, check=False)
+    assert proc.returncode == 1, (proc.returncode, proc.stderr[-500:])
+    assert "RecursionError" in proc.stderr
     assert list(tmp_path.iterdir()) == []
 
 

@@ -205,6 +205,25 @@ def test_tails_of_a_product_of_two_polynomials_reach_zero():
     assert p is ZERO
 
 
+def _tail_recording(values, tails):
+    # values, then ZERO; the position of every tail forced is recorded.
+    node = ZERO
+    for k in reversed(range(len(values))):
+        node = Series.cons(values[k],
+                           lambda k=k, node=node: tails.append(k) or node)
+    return node
+
+
+def test_the_head_of_a_product_or_quotient_forces_no_operand_tail():
+    # Where a polynomial result ends is asked only when its tail is read.
+    tails = []
+    u = _tail_recording([1, 2, 3], tails)
+    v = _tail_recording([2, Fraction(1, 2)], tails)
+    assert (u * v).head == 2
+    assert (u / v).head == Fraction(1, 2)
+    assert tails == []
+
+
 def _counting(values, forced):
     # An infinite series that records the index of every coefficient forced.
     def at(k):
