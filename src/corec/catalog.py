@@ -15,9 +15,7 @@ reads (inherent to it, not a leak); a shift builds only the zeros read.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, NamedTuple
 
-from .cells import LazyPair
 from .series import Series
 from .stream import Stream, cons, repeat
 
@@ -27,7 +25,6 @@ __all__ = [
     "fibonacci",
     "partitions",
     "bessel_series",
-    "CatalogEntry",
     "CATALOG",
 ]
 
@@ -89,20 +86,12 @@ def _revert_demo() -> Series:
     return Series.from_list([0, 1, 1]).revert()
 
 
-class CatalogEntry(NamedTuple):
-    name: str
-    domain: str  # "exact" or "float"
-    producer: Callable[[], LazyPair]
-
-
+#: The CLI's sequences by name; each producer builds a fresh structure.
 CATALOG = {
-    entry.name: entry
-    for entry in [
-        CatalogEntry("integs", "exact", integers),
-        CatalogEntry("fibs", "exact", fibonacci),
-        CatalogEntry("partitions", "exact", partitions),
-        CatalogEntry("bessel", "exact", bessel_series),
-        CatalogEntry("exp-demo", "exact", _exp_demo),
-        CatalogEntry("revser-demo", "exact", _revert_demo),
-    ]
+    "integs": integers,
+    "fibs": fibonacci,
+    "partitions": partitions,
+    "bessel": bessel_series,
+    "exp-demo": _exp_demo,
+    "revser-demo": _revert_demo,
 }

@@ -59,7 +59,12 @@ call sites per code object; with per-kind subclasses sharing the inherited
 ``head``/``tail``, those sites see many types and stay generic. In a
 prototype on CPython 3.11.7, 44,100 samples of ``dsp.sine`` took 0.125 s
 that way against 0.119 s for the former closure pairs, and 0.085 s with
-data-driven pointwise nodes in one class.
+data-driven pointwise nodes in one class. The two compact forms are the
+only exception: ``ZERO`` and the tower constants (``Dif.const``,
+``ZERO_TOWER``) are subclasses built by :meth:`LazyPair.cons` that share
+one all-zero tail and override ``_define``, so that a function of a
+constant stays compact. Outside this module, only the self-tails of
+``ZERO`` and ``ZERO_TOWER`` write a slot.
 
 Forced values are retained for as long as the structure is referenced;
 there is no eviction. Forcing is not re-entrant-safe across threads: a

@@ -98,11 +98,8 @@ def _build_parser() -> _Parser:
 @contextmanager
 def _any_int_size():
     # Exact values are printed whatever their size. The interpreter's limit
-    # on int-to-text conversion (Python >= 3.10.7) stays on everywhere
-    # else, argument parsing included.
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
+    # on int-to-text conversion stays on everywhere else, argument parsing
+    # included.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -135,8 +132,7 @@ def _emit_values(values, csv: bool) -> None:
 def _run_series(args) -> int:
     if args.n < 0:
         raise ValueError("series: --n must be >= 0")
-    producer = CATALOG[args.name].producer
-    _emit_values(producer().take(args.n), args.csv)
+    _emit_values(CATALOG[args.name]().take(args.n), args.csv)
     return 0
 
 
@@ -207,8 +203,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _RUNNERS[args.command](args)
-    except (NonProductiveError, ValueError, ZeroDivisionError,
-            ArithmeticError, OSError, RecursionError, MemoryError) as exc:
+    except (NonProductiveError, ValueError, ArithmeticError, OSError,
+            RecursionError, MemoryError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return _COMPUTE_EXIT
 

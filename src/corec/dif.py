@@ -56,22 +56,18 @@ class Dif(Analytic):
     __slots__ = ()
 
     @classmethod
-    def _constant(cls, value):
-        return _Const(value)
-
-    @classmethod
     def _solve(cls, value, derivative):
         return Dif.cons(value, derivative)
 
     @classmethod
     def const(cls, value) -> "Dif":
         """Compact constant: ``value`` followed by zero derivatives."""
-        return _Const(value)
+        return _Const.cons(value, _zero_tower)
 
     @classmethod
     def var(cls, x0) -> "Dif":
         """The differentiation variable with value ``x0``: [x0, 1, 0, 0, ...]."""
-        return cls.cons(x0, _Const(1))
+        return cls.cons(x0, Dif.const(1))
 
     # -- reading -------------------------------------------------------
 
@@ -184,19 +180,20 @@ class _Const(Dif):
 
     __slots__ = ()
 
-    _compact = True
-
-    def __init__(self, value):
-        self._hs = 2  # forced
-        self._h = value
-        self._ts = 0  # the zero tail is shared and created lazily
-        self._t = lambda: ZERO_TOWER
-        self._ops = None
+    def _define(self, value, derivative):
+        # A function of a constant is a constant.
+        return Dif.const(value)
 
 
 #: The all-zero tower (the compact constant 0); its tail is itself.
-ZERO_TOWER = _Const(0)
-ZERO_TOWER._ts, ZERO_TOWER._t = 2, ZERO_TOWER
+ZERO_TOWER = _Const.cons(0, None)
+ZERO_TOWER._t = ZERO_TOWER
+
+
+def _zero_tower():
+    # The tail of every other constant: ZERO_TOWER, shared and read lazily.
+    return ZERO_TOWER
+
 
 _NUMBER_TYPES = (int, float, complex)
 
@@ -204,14 +201,14 @@ _NUMBER_TYPES = (int, float, complex)
 def _map(op, a):
     # Elementwise op; it maps a compact constant to a compact constant.
     if isinstance(a, _Const):
-        return _Const(op(a.value))
+        return Dif.const(op(a.value))
     return pointwise(Dif, _map, op, a)
 
 
 def _combine(op, a, b):
     # a + b or a - b, elementwise; two compact constants stay compact.
     if isinstance(a, _Const) and isinstance(b, _Const):
-        return _Const(op(a.value, b.value))
+        return Dif.const(op(a.value, b.value))
     return pointwise(Dif, _zip, op, a, b)
 
 
@@ -229,7 +226,7 @@ def _lift(x):
     if isinstance(x, Dif):
         return x
     if isinstance(x, _NUMBER_TYPES) or hasattr(x, "numerator"):
-        return _Const(x)
+        return Dif.const(x)
     return NotImplemented
 
 

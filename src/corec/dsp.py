@@ -147,16 +147,21 @@ def write_wav(path: str, rate: int, s: Stream, seconds: float) -> str:
     place, so a failure never leaves a partial file at ``path``. Samples
     are forced as iteration forces them, under the caller's recursion
     limit, so a definition deeper than that limit raises ``RecursionError``.
+    A render whose byte rate or file size does not fit the header's 32-bit
+    fields raises ``ValueError`` before any file is made.
     """
     if rate <= 0:
         raise ValueError("write_wav: rate must be > 0")
     if seconds <= 0:
         raise ValueError("write_wav: seconds must be > 0")
     frames = int(rate * seconds)
+    data_size = 2 * frames
+    if rate * 2 > 0xFFFFFFFF or 36 + data_size > 0xFFFFFFFF:
+        raise ValueError("write_wav: %d frames at %d Hz do not fit in a WAV "
+                         "header" % (frames, rate))
     samples = iter(s)
     del s
 
-    data_size = 2 * frames
     header = b"RIFF" + struct.pack("<I", 36 + data_size) + b"WAVE"
     header += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, rate,
                                     rate * 2, 2, 16)

@@ -20,15 +20,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import Series, ZERO, transpose
+from .series import Series, ZERO, _coeff_derivation, transpose
 
 __all__ = ["dyson_schwinger", "greens", "parity_check"]
 
 _HALF = Fraction(1, 2)
-
-
-def _inner_diff(c):
-    return c.diff() if isinstance(c, Series) else 0
 
 
 def dyson_schwinger() -> Series:
@@ -41,7 +37,7 @@ def dyson_schwinger() -> Series:
     source = Series.from_list([0, 1])
     phi = Series.cons(
         source,
-        lambda: (phi.map(_inner_diff) + phi * phi).scale(_HALF),
+        lambda: (phi.map(_coeff_derivation) + phi * phi).scale(_HALF),
     )
     return phi
 

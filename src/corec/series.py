@@ -79,19 +79,15 @@ class Analytic(LazyPair):
     Each function of ``a`` is the w whose value is the scalar function of
     the value of ``a`` and whose derivative is an expression in a' and w;
     ``exp a`` is the w with w' = a' * w. A subclass supplies its derivation
-    ``_derivation()``, ``_solve(value, derivative)`` that builds w from its
-    value and a thunk for w', and its compact constants (``_compact`` and
-    ``_constant(value)``), on which only the value is mapped.
+    ``_derivation()`` and ``_solve(value, derivative)``, which builds w
+    from its value and a thunk for w'. A compact constant (``ZERO``, a
+    tower constant) overrides ``_define`` to map only the value.
     """
 
     __slots__ = ()
 
-    _compact = False
-
     def _define(self, value, derivative):
         # The w with this value and w' = derivative(a', w).
-        if self._compact:
-            return self._constant(value)
         a = self
         w = a._solve(value, lambda: derivative(a._derivation(), w))
         return w
@@ -149,10 +145,6 @@ class Series(Analytic):
     """Coefficient stream of a formal power series."""
 
     __slots__ = ()
-
-    @classmethod
-    def _constant(cls, value):
-        return Series.cons(value, ZERO)
 
     @classmethod
     def _solve(cls, value, derivative):
@@ -364,7 +356,9 @@ class Series(Analytic):
 class _ZeroSeries(Series):
     __slots__ = ()
 
-    _compact = True
+    def _define(self, value, derivative):
+        # A function of a constant is a constant.
+        return Series.cons(value, ZERO)
 
     def __repr__(self):
         return "<Series 0>"
@@ -381,7 +375,7 @@ def sint(constant, u: Series) -> Series:
 
 
 def transpose(m: Series) -> Series:
-    """Swap the two index levels of a series of series.
+    """Swap the two index levels of a series of series or of towers.
 
     Coefficient (i, j) of the result is coefficient (j, i) of the input;
     both directions stay lazy. Plain scalar entries produced by a compact
@@ -393,12 +387,19 @@ def transpose(m: Series) -> Series:
                   lambda: transpose(m.map(_coeff_tail)))
 
 
+# A coefficient of a series of series or of towers is such a node, or
+# the plain 0 read from a ZERO tail, which stands for the compact zero.
+
 def _coeff_head(c):
-    return c.head if isinstance(c, Series) else c
+    return c.head if isinstance(c, Analytic) else c
 
 
 def _coeff_tail(c):
-    return c.tail if isinstance(c, Series) else ZERO
+    return c.tail if isinstance(c, Analytic) else ZERO
+
+
+def _coeff_derivation(c):
+    return c._derivation() if isinstance(c, Analytic) else 0
 
 
 # -- prefix kernels shared with derivative towers -------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .dif import Dif
-from .series import Series, ZERO
+from .series import Series, ZERO, _coeff_derivation, _coeff_head
 
 __all__ = ["WkbResult", "add_to_tail", "wkb_expand", "airy_s0_prime"]
 
@@ -54,14 +54,6 @@ def add_to_tail(a: Series, z: Series) -> Series:
     return Series(lambda: a.head, lambda: a.tail + z)
 
 
-def _tower_deriv(c):
-    return c.deriv() if isinstance(c, Dif) else 0
-
-
-def _tower_value(c):
-    return c.value if isinstance(c, Dif) else c
-
-
 def wkb_expand(s0_prime: Dif, orders: int) -> WkbResult:
     """Solve the U / V' recurrences at a point, to at least ``orders`` terms.
 
@@ -78,17 +70,17 @@ def wkb_expand(s0_prime: Dif, orders: int) -> WkbResult:
     u = Series.defer(
         lambda: Series.cons(s0_prime, lambda: v_prime).log().scale(-0.5)
     )
-    u_prime = u.map(_tower_deriv)
+    u_prime = u.map(_coeff_derivation)
     half_over_s0 = -0.5 / s0_prime
     v_prime = Series.defer(
         lambda: add_to_tail(
-            u_prime * u_prime + u_prime.map(_tower_deriv),
+            u_prime * u_prime + u_prime.map(_coeff_derivation),
             v_prime * v_prime,
         ).scale(half_over_s0)
     )
 
-    u_main = u.map(_tower_value)
-    v_prime_main = v_prime.map(_tower_value)
+    u_main = u.map(_coeff_head)
+    v_prime_main = v_prime.map(_coeff_head)
     u_main.take(orders)
     v_prime_main.take(orders)
     return WkbResult(u=u, v_prime=v_prime,

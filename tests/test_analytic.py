@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from corec.coeffs import scalar_pow
-from corec.dif import Dif, taylor_from_tower
+from corec.dif import Dif, ZERO_TOWER, _Const, taylor_from_tower
 from corec.series import Series, ZERO
 
 
@@ -46,6 +46,23 @@ def test_compact_constants_stay_compact():
     assert c.elements(3) == [math.atan(0.5), 0, 0]
     assert ZERO.exp().coefficients(3) == [1, 0, 0]
     assert ZERO.cos().coefficients(3) == [1, 0, 0]
+    # Every function of a compact constant is a compact constant.
+    half = Dif.const(0.5)
+    towers = {"exp": half.exp(), "log": half.log(), "sqrt": half.sqrt(),
+              "pow": half.pow(3), "sin": half.sin(), "cos": half.cos(),
+              "atan": half.atan(), "asin": half.asin(), "recip": half.recip()}
+    for name, w in towers.items():
+        assert isinstance(w, _Const), name
+        assert w.tail is ZERO_TOWER, name
+    assert towers["recip"].value == 2.0
+    assert towers["pow"].value == 0.125
+    for name in ("exp", "sin", "cos", "atan", "asin"):
+        w = getattr(ZERO, name)()
+        assert isinstance(w, Series), name
+        # Built whole: the forced prefix already reaches the ZERO tail.
+        head = {"exp": 1, "cos": 1}.get(name, 0)
+        assert w._forced_prefix(3) == [head, 0, 0], name
+        assert w.tail is ZERO, name
 
 
 def test_series_and_tower_agree_through_the_bridge():

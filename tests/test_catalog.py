@@ -88,8 +88,8 @@ def test_catalog_entries():
     assert set(CATALOG) == {"integs", "fibs", "partitions", "bessel",
                             "exp-demo", "revser-demo"}
     # producers make fresh structures per call
-    a = CATALOG["partitions"].producer()
-    b = CATALOG["partitions"].producer()
+    a = CATALOG["partitions"]()
+    b = CATALOG["partitions"]()
     assert a is not b
-    assert CATALOG["exp-demo"].producer().coefficients(3) == [1, 1, Fraction(1, 2)]
-    assert CATALOG["revser-demo"].producer().coefficients(6) == [0, 1, -1, 2, -5, 14]
+    assert CATALOG["exp-demo"]().coefficients(3) == [1, 1, Fraction(1, 2)]
+    assert CATALOG["revser-demo"]().coefficients(6) == [0, 1, -1, 2, -5, 14]

@@ -150,6 +150,16 @@ def test_audio_rate_must_be_positive(tmp_path, capsys, rate):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("argv", [["--dur", "100000"],
+                                  ["--rate", "3000000000", "--dur", "0.000001"]])
+def test_audio_too_large_for_a_wav_header_exits_2(tmp_path, capsys, argv):
+    target = tmp_path / "x.wav"
+    code = main(["audio", "sine", "--out", str(target)] + argv)
+    assert code == 2
+    assert "do not fit in a WAV header" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("exc", [RecursionError("too deep"),
                                  MemoryError("out of memory")])
 def test_depth_and_memory_errors_exit_2(monkeypatch, capsys, exc):

@@ -330,3 +330,19 @@ def test_wav_rejects_bad_parameters(tmp_path):
         write_wav(str(tmp_path / "x.wav"), 0, repeat(0.0), 1.0)
     with pytest.raises(ValueError):
         write_wav(str(tmp_path / "x.wav"), 8000, repeat(0.0), 0.0)
+
+
+def test_wav_too_large_for_its_header_is_refused_before_any_file(tmp_path):
+    target = tmp_path / "big.wav"
+    # The byte rate (2 * rate) and the RIFF size (36 + 2 * frames) are
+    # 32-bit fields.
+    for rate, seconds in [(2 ** 31, 1e-6), (3_000_000_000, 1e-6),
+                          (1, 2_147_483_630.0), (44100, 100_000.0)]:
+        with pytest.raises(ValueError, match="WAV header"):
+            write_wav(str(target), rate, repeat(0.0), seconds)
+        assert list(tmp_path.iterdir()) == []
+    # The largest byte rate that fits still renders.
+    write_wav(str(target), 2 ** 31 - 1, repeat(0.0), 1e-9)
+    data = target.read_bytes()
+    assert struct.unpack("<I", data[28:32]) == (0xFFFFFFFE,)
+    assert len(data) == 44 + 2 * 2

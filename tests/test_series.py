@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from corec.dif import Dif
 from corec.series import Series, ZERO, sint, transpose
 
 
@@ -409,6 +410,14 @@ def test_transpose_involution():
 
 def test_transpose_of_zero():
     assert transpose(ZERO) is ZERO
+
+
+def test_transpose_reads_tower_coefficients_as_rows():
+    # Row k holds element k of each tower: its k-th derivative.
+    m = Series.from_list([Dif.var(0.5), Dif.const(2.0), 0])
+    rows = transpose(m).take(3)
+    assert [r.coefficients(3) for r in rows] == [[0.5, 2.0, 0], [1, 0, 0],
+                                                 [0, 0, 0]]
 
 
 def test_mul_laziness_bound():

@@ -100,14 +100,7 @@ def test_result_mains_are_tower_values():
 def test_forced_tower_depth_is_bounded():
     # Requesting K orders must terminate having forced O(K^2) tower cells.
     def forced_len(tower, cap=200):
-        count = 0
-        node = tower
-        while count < cap and node._hs == 2:  # forced head
-            count += 1
-            if node._ts != 2:
-                break
-            node = node._t
-        return count
+        return len(tower._forced_prefix(cap))
 
     for orders in (5, 12):
         result = wkb_expand(airy_s0_prime(1.0), orders)
