@@ -66,6 +66,14 @@ one all-zero tail and override ``_define``, so that a function of a
 constant stays compact. Outside this module, only the self-tails of
 ``ZERO`` and ``ZERO_TOWER`` write a slot.
 
+Forcing a cell nests one Python frame or more per level of the cells it
+demands, and every consumer (``.head``, ``.tail``, ``take``, ``at``,
+iteration) forces under the caller's recursion limit. This module never
+changes interpreter state: a definition deeper than the limit raises
+``RecursionError``, whatever consumer reads it and however many elements
+it asks for. To go deeper, force on a thread with a larger stack and raise
+the limit in proportion to that stack, as the CLI does.
+
 Forced values are retained for as long as the structure is referenced;
 there is no eviction. Forcing is not re-entrant-safe across threads: a
 lazy structure (and everything it references) must be driven by one
@@ -74,8 +82,6 @@ logical thread at a time. Fully forced prefixes may be read concurrently.
 
 from __future__ import annotations
 
-import sys
-from contextlib import contextmanager
 from functools import partial
 from operator import index
 
@@ -83,25 +89,9 @@ _UNFORCED = 0
 _FORCING = 1
 _FORCED = 2
 
-_STACK_CAP = 50_000
-
 
 class NonProductiveError(RuntimeError):
     """A self-referential definition demanded itself with no prefix to stand on."""
-
-
-@contextmanager
-def _stack_headroom(wanted):
-    # Deep co-recursive definitions cost one Python frame per dependency
-    # level, so consuming long prefixes may need more than the default
-    # recursion limit. Raised temporarily, never lowered.
-    old = sys.getrecursionlimit()
-    new = max(old, min(_STACK_CAP, wanted))
-    sys.setrecursionlimit(new)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
 
 
 def _head(node):
@@ -241,15 +231,18 @@ class LazyPair:
     tail = property(_tail)
 
     def take(self, n):
-        """Force and return the first ``n`` elements as a list."""
+        """Force and return the first ``n`` elements as a list.
+
+        Like ``.head`` and iteration, it forces under the caller's recursion
+        limit; a definition nested deeper raises ``RecursionError``.
+        """
         if n < 0:
             raise ValueError("take: n must be >= 0")
         out = []
         node = self
-        with _stack_headroom(2048 + 16 * n):
-            for _ in range(n):
-                out.append(node._h if node._hs == _FORCED else _head(node))
-                node = node._t if node._ts == _FORCED else _tail(node)
+        for _ in range(n):
+            out.append(node._h if node._hs == _FORCED else _head(node))
+            node = node._t if node._ts == _FORCED else _tail(node)
         return out
 
     def at(self, k):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from contextlib import contextmanager
+import threading
 
 from .catalog import CATALOG
 from .cells import NonProductiveError
@@ -34,6 +34,9 @@ from .wkb import airy_s0_prime, wkb_expand
 
 _USAGE_EXIT = 1
 _COMPUTE_EXIT = 2
+# The worker thread's stack, and a recursion limit of one frame per KiB of
+# it: a frame of the library's definitions takes at most about 512 bytes.
+_STACK = 64 << 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,27 +98,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-@contextmanager
-def _any_int_size():
-    # Exact values are printed whatever their size. The interpreter's limit
-    # on int-to-text conversion stays on everywhere else, argument parsing
-    # included.
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def _formatted(values, name="element") -> list:
     """The values as text; a float that is not finite is an error."""
     for k, v in enumerate(values):
         if isinstance(v, float) and not math.isfinite(v):
             raise OverflowError("%s %d is %r, not a finite float"
                                 % (name, k, v))
-    with _any_int_size():
-        return [format_coeff(v) for v in values]
+    return [format_coeff(v) for v in values]
 
 
 def _emit_values(values, csv: bool) -> None:
@@ -129,27 +118,24 @@ def _emit_values(values, csv: bool) -> None:
             print(v)
 
 
-def _run_series(args) -> int:
+def _run_series(args) -> None:
     if args.n < 0:
         raise ValueError("series: --n must be >= 0")
     _emit_values(CATALOG[args.name]().take(args.n), args.csv)
-    return 0
 
 
-def _run_lambertw(args) -> int:
+def _run_lambertw(args) -> None:
     if args.n < 0:
         raise ValueError("lambertw: --n must be >= 0")
     _emit_values(lambert_w_tower().elements(args.n), csv=False)
-    return 0
 
 
-def _run_qft(args) -> int:
+def _run_qft(args) -> None:
     series = greens(args.g, args.order)
     _emit_values(series.take(args.order + 1), csv=True)
-    return 0
 
 
-def _run_wkb(args) -> int:
+def _run_wkb(args) -> None:
     result = wkb_expand(airy_s0_prime(args.x0), args.orders)
     u_vals = _formatted(result.u_main.take(args.orders), "u_main element")
     v_vals = _formatted(result.v_prime_main.take(args.orders),
@@ -157,7 +143,6 @@ def _run_wkb(args) -> int:
     print("index,u_main,v_prime_main")
     for k in range(args.orders):
         print("%d,%s,%s" % (k, u_vals[k], v_vals[k]))
-    return 0
 
 
 def _audio_stream(args):
@@ -178,7 +163,7 @@ def _audio_stream(args):
     return allpass(args.m, args.b, string)
 
 
-def _run_audio(args) -> int:
+def _run_audio(args) -> None:
     # The stream goes straight to the writer, which keeps no reference to
     # its first node, so the rendered prefix is freed as it is written.
     # The rate is checked first because the generators divide by it.
@@ -187,7 +172,6 @@ def _run_audio(args) -> int:
     path = write_wav(args.out, args.rate, _audio_stream(args), args.dur)
     frames = int(args.rate * args.dur)
     print("wrote %s (%d frames at %d Hz)" % (path, frames, args.rate))
-    return 0
 
 
 _RUNNERS = {
@@ -200,13 +184,41 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
+    """Parse ``argv`` here, then run the command on one worker thread.
+
+    The worker has a ``_STACK``-byte stack, a recursion limit derived from
+    it and no limit on the digits of printed ints; all three are restored
+    when it ends. This thread only waits, so it never forces under the
+    raised limit. An exception the CLI does not map is raised again here.
+    """
     args = _build_parser().parse_args(argv)
+    outcome = [0]
+
+    def work():
+        try:
+            _RUNNERS[args.command](args)
+        except (NonProductiveError, ValueError, ArithmeticError, OSError,
+                RecursionError, MemoryError) as exc:
+            sys.stderr.write("error: %s\n" % exc)
+            outcome[0] = _COMPUTE_EXIT
+        except BaseException as exc:
+            outcome[0] = exc
+
+    limit, digits = sys.getrecursionlimit(), sys.get_int_max_str_digits()
+    stack = threading.stack_size(_STACK)
     try:
-        return _RUNNERS[args.command](args)
-    except (NonProductiveError, ValueError, ArithmeticError, OSError,
-            RecursionError, MemoryError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return _COMPUTE_EXIT
+        sys.setrecursionlimit(_STACK // 1024)
+        sys.set_int_max_str_digits(0)
+        worker = threading.Thread(target=work, daemon=True)
+        worker.start()
+        worker.join()
+    finally:
+        threading.stack_size(stack)
+        sys.setrecursionlimit(limit)
+        sys.set_int_max_str_digits(digits)
+    if isinstance(outcome[0], BaseException):
+        raise outcome[0]
+    return outcome[0]
 
 
 if __name__ == "__main__":

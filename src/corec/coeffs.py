@@ -159,11 +159,19 @@ def _exact_sqrt(q: Fraction) -> Fraction:
 # anything carrying its own method (series, derivative towers) handles
 # itself.
 
-def _scalar(name, point, value):
-    # scalar_<name>, whose one exact argument with an exact result is
-    # ``point``, where it is ``value``.
-    float_fn = getattr(math, name)
+def _float(name, domain, x):
+    # math.<name>(x), whose error outside the domain names the function.
+    try:
+        return getattr(math, name)(x)
+    except ValueError:
+        raise ValueError("%s: the value must be %s, not %r"
+                         % (name, domain, x)) from None
 
+
+def _scalar(name, point, value, domain=None):
+    # scalar_<name>, whose one exact argument with an exact result is
+    # ``point``, where it is ``value``; a float must be ``domain`` (exp
+    # and atan take every float).
     def scalar(x):
         if is_exact(x):
             if x == point:
@@ -171,18 +179,18 @@ def _scalar(name, point, value):
             raise ValueError("%s of an exact value other than %s is irrational"
                              % (name, point))
         method = getattr(x, name, None)
-        return float_fn(x) if method is None else method()
+        return _float(name, domain, x) if method is None else method()
 
     scalar.__name__ = scalar.__qualname__ = "scalar_" + name
     return scalar
 
 
 scalar_exp = _scalar("exp", 0, 1)
-scalar_log = _scalar("log", 1, 0)
-scalar_sin = _scalar("sin", 0, 0)
-scalar_cos = _scalar("cos", 0, 1)
+scalar_log = _scalar("log", 1, 0, "positive")
+scalar_sin = _scalar("sin", 0, 0, "finite")
+scalar_cos = _scalar("cos", 0, 1, "finite")
 scalar_atan = _scalar("atan", 0, 0)
-scalar_asin = _scalar("asin", 0, 0)
+scalar_asin = _scalar("asin", 0, 0, "in [-1, 1]")
 
 
 def scalar_sqrt(x):
@@ -190,7 +198,7 @@ def scalar_sqrt(x):
         return _exact_sqrt(Fraction(x))
     if hasattr(x, "sqrt"):
         return x.sqrt()
-    return math.sqrt(x)
+    return _float("sqrt", ">= 0", x)
 
 
 def scalar_pow(x, a):
@@ -210,10 +218,10 @@ def scalar_pow(x, a):
 
 
 def scalar_recip(x):
-    if isinstance(x, int):
-        return Fraction(1, x)
-    if isinstance(x, Fraction):
-        return 1 / x
+    if is_exact(x):
+        if not x:
+            raise ZeroDivisionError("recip: the value must be nonzero")
+        return Fraction(1, x) if isinstance(x, int) else 1 / x
     if hasattr(x, "recip"):
         return x.recip()
     return 1.0 / x

@@ -120,7 +120,8 @@ def take(n: int, s: Stream) -> list:
     """Materialize exactly the first ``n`` elements.
 
     Forces no cell beyond index ``n - 1``. A non-productive definition
-    surfaces here as :class:`NonProductiveError`.
+    surfaces here as :class:`NonProductiveError`, and one nested deeper
+    than the caller's recursion limit as ``RecursionError``.
     """
     return s.take(n)
 

@@ -35,6 +35,14 @@ def _where(marker):
     raise AssertionError(marker)
 
 
+def _run_script(script):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
+                          capture_output=True, text=True, check=False)
+
+
 def _non_productive_message(node):
     with pytest.raises(NonProductiveError) as info:
         node.head
@@ -105,13 +113,42 @@ def test_deep_pointwise_chains_force_their_head_without_a_crash():
         "    u = -u\n"
         "print(s.head, u.head)\n"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
-                          capture_output=True, text=True, check=False)
+    proc = _run_script(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1.0", "1"]
+
+
+@pytest.mark.parametrize("level", [
+    lambda p: Stream(lambda: p.head + 1, lambda: p),
+    lambda p: p.map(abs),
+], ids=["thunk", "map"])
+def test_every_consumer_forces_under_the_callers_limit(level):
+    # No consumer raises the recursion limit, so a chain too deep for it
+    # fails the same way whichever consumer reads it and however much.
+    limit = sys.getrecursionlimit()
+    s = repeat(0)
+    for _ in range(2500):
+        s = level(s)
+    for read in (lambda: s.take(1), lambda: s.take(100), lambda: s.take(1000),
+                 lambda: next(iter(s)), lambda: s.head):
+        with pytest.raises(RecursionError):
+            read()
+        assert sys.getrecursionlimit() == limit
+
+
+def test_a_long_take_of_a_deep_thunk_chain_raises_without_a_signal():
+    # Thunks use C stack per level; a limit raised for a long take would
+    # let this chain overflow the main thread's stack and kill the process.
+    script = (
+        "from corec.stream import Stream, repeat\n"
+        "p = repeat(0)\n"
+        "for _ in range(20_000):\n"
+        "    p = Stream(lambda p=p: p.head + 1, lambda p=p: p)\n"
+        "p.take(4000)\n"
+    )
+    proc = _run_script(script)
+    assert proc.returncode == 1, (proc.returncode, proc.stderr[-500:])
+    assert "RecursionError" in proc.stderr
 
 
 def test_map_node_releases_its_operand_once_forced():

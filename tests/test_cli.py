@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -171,12 +172,16 @@ def test_depth_and_memory_errors_exit_2(monkeypatch, capsys, exc):
     assert capsys.readouterr().err == "error: %s\n" % exc
 
 
-def _run_module(*argv):
+def _run_python(*args):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "corec", *argv],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def _run_module(*argv):
+    return _run_python("-m", "corec", *argv)
 
 
 def test_lambertw_stops_before_an_infinite_element():
@@ -228,3 +233,74 @@ def test_arguments_keep_the_int_digit_limit():
     proc = _run_module("series", "fibs", "--n", "1" * 5000)
     assert proc.returncode == 1
     assert "invalid int value" in proc.stderr
+
+
+def _partitions(n):
+    # Euler's pentagonal recurrence, independent of the library.
+    p = [1] + [0] * (n - 1)
+    for m in range(1, n):
+        k = 1
+        while k * (3 * k - 1) // 2 <= m:
+            sign = 1 if k % 2 else -1
+            p[m] += sign * p[m - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= m:
+                p[m] += sign * p[m - k * (3 * k + 1) // 2]
+            k += 1
+    return p
+
+
+def test_partitions_past_the_default_recursion_limit():
+    proc = _run_module("series", "partitions", "--n", "1100")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(v) for v in _partitions(1100)]
+
+
+@pytest.mark.parametrize("depth, code", [(30_000, 0), (50_000, 2)])
+def test_a_deep_thunk_chain_gives_a_value_or_exit_2(depth, code):
+    # Thunks use C stack per level. On the worker's stack a chain either
+    # gives its value or exceeds the recursion limit; no signal kills it.
+    script = (
+        "import sys\n"
+        "from corec import cli\n"
+        "from corec.stream import Stream, repeat\n"
+        "def runner(args):\n"
+        "    p = repeat(0)\n"
+        "    for _ in range(%d):\n"
+        "        p = Stream(lambda p=p: p.head + 1, lambda p=p: p)\n"
+        "    print(p.take(3))\n"
+        "cli._RUNNERS['series'] = runner\n"
+        "raise SystemExit(cli.main(['series', 'fibs']))\n" % depth
+    )
+    proc = _run_python("-c", script)
+    assert proc.returncode == code, (proc.returncode, proc.stderr[-500:])
+    if code == 0:
+        assert proc.stdout == "[%d, %d, %d]\n" % (depth, depth - 1, depth - 2)
+    else:
+        assert proc.stderr == "error: maximum recursion depth exceeded\n"
+
+
+def _settings():
+    return (sys.getrecursionlimit(), threading.stack_size(),
+            sys.get_int_max_str_digits())
+
+
+def test_main_leaves_the_interpreter_settings_as_they_were(monkeypatch, capsys):
+    before = _settings()
+    assert main(["series", "fibs", "--n", "3"]) == 0
+    assert _settings() == before
+    assert main(["series", "fibs", "--n", "-1"]) == 2
+    assert _settings() == before
+    seen = []
+
+    def runner(args):
+        seen.append((threading.current_thread() is threading.main_thread(),
+                     sys.getrecursionlimit(), sys.get_int_max_str_digits()))
+        raise KeyError("unmapped")
+
+    monkeypatch.setitem(cli._RUNNERS, "series", runner)
+    with pytest.raises(KeyError, match="unmapped"):
+        main(["series", "fibs"])
+    assert _settings() == before
+    # The command ran on the worker, under the limits derived for it.
+    assert seen == [(False, cli._STACK // 1024, 0)]
+    capsys.readouterr()

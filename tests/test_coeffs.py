@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,8 @@ from corec.coeffs import (
     scalar_recip,
     scalar_sqrt,
 )
+from corec.dif import Dif
+from corec.series import ZERO, Series
 
 
 def test_addition_example():
@@ -104,3 +107,23 @@ def test_scalar_functions_float_path():
     assert scalar_exp(1.0) == math.exp(1.0)
     assert scalar_log(2.0) == math.log(2.0)
     assert scalar_sqrt(2.0) == math.sqrt(2.0)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: ZERO.recip(), ZeroDivisionError, "recip: the value must be nonzero"),
+    (lambda: Dif.const(0).recip(), ZeroDivisionError,
+     "recip: the value must be nonzero"),
+    (lambda: Dif.var(0.0).log(), ValueError,
+     "log: the value must be positive, not 0.0"),
+    (lambda: Dif.const(-2.0).asin(), ValueError,
+     "asin: the value must be in [-1, 1], not -2.0"),
+    (lambda: Series.from_list([-0.5]).sqrt(), ValueError,
+     "sqrt: the value must be >= 0, not -0.5"),
+    (lambda: Dif.const(math.inf).sin(), ValueError,
+     "sin: the value must be finite, not inf"),
+], ids=["ZERO.recip", "const(0).recip", "var(0.0).log", "const(-2.0).asin",
+        "series.sqrt", "const(inf).sin"])
+def test_errors_outside_the_domain_name_the_function(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message

@@ -299,6 +299,10 @@ def test_wav_renders_under_the_callers_recursion_limit(tmp_path):
         return x
 
     write_wav(str(tmp_path / "s.wav"), 1000, sine(0.05).map(record), 4.0)
+    # Every other consumer forces under the caller's limit too.
+    assert len(sine(0.05).map(record).take(4000)) == 4000
+    sine(0.05).map(record).at(3999)
+    assert len(list(zip(range(4000), sine(0.05).map(record)))) == 4000
     assert limits == {sys.getrecursionlimit()}
 
 
