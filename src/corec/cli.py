@@ -13,7 +13,14 @@ Exit status: 0 on success, 1 on a usage error, 2 on a computation error
 (domain violations, non-productive definitions, I/O failures, floats
 that leave the float range, definitions too deep for the recursion limit,
 running out of memory). Identical invocations produce byte-identical
-output.
+output. ``series`` and ``qft`` print each line as it is formatted; an
+error after the first line leaves the lines printed, writes one
+``error:`` line and exits 2. ``lambertw`` and ``wkb`` print nothing if a
+value is not a finite float.
+
+Parsing the arguments imports no library module, so ``--help`` and
+usage errors import none. Each runner imports the modules its command
+needs, after its own argument checks.
 """
 
 from __future__ import annotations
@@ -23,20 +30,15 @@ import math
 import sys
 import threading
 
-from .catalog import CATALOG
-from .cells import NonProductiveError
-from .coeffs import format_coeff
-from .dif import lambert_w_tower
-from .dsp import allpass, euler_osc, karplus_strong, noise, sine, vibrato, write_wav
-from .qft import greens
-from .stream import take
-from .wkb import airy_s0_prime, wkb_expand
-
 _USAGE_EXIT = 1
 _COMPUTE_EXIT = 2
 # The worker thread's stack, and a recursion limit of one frame per KiB of
 # it: a frame of the library's definitions takes at most about 512 bytes.
 _STACK = 64 << 20
+# The names of ``catalog.CATALOG``, sorted, written out so that parsing
+# arguments imports no series code.
+_SERIES_NAMES = ("bessel", "exp-demo", "fibs", "integs", "partitions",
+                 "revser-demo")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,7 +56,7 @@ def _build_parser() -> _Parser:
                                 parser_class=_Parser)
 
     p_series = sub.add_parser("series", help="print a catalog sequence")
-    p_series.add_argument("name", choices=sorted(CATALOG))
+    p_series.add_argument("name", choices=_SERIES_NAMES)
     p_series.add_argument("--n", type=int, default=10,
                           help="number of terms (default 10)")
     p_series.add_argument("--csv", action="store_true",
@@ -98,54 +100,73 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _formatted(values, name="element") -> list:
-    """The values as text; a float that is not finite is an error."""
+def _finite(values, name="element") -> list:
+    """The values as a list; a float that is not finite is an error."""
+    values = list(values)
     for k, v in enumerate(values):
         if isinstance(v, float) and not math.isfinite(v):
             raise OverflowError("%s %d is %r, not a finite float"
                                 % (name, k, v))
-    return [format_coeff(v) for v in values]
+    return values
 
 
-def _emit_values(values, csv: bool) -> None:
-    text = _formatted(values)
-    if csv:
-        print("index,value")
-        for k, v in enumerate(text):
-            print("%d,%s" % (k, v))
-    else:
-        for v in text:
-            print(v)
+def _write(columns, names=None) -> None:
+    """Print one line per row of ``columns``, as soon as it is formatted.
+
+    The columns are iterables read in step. With ``names`` the output is
+    CSV: a header of ``index`` and the names, then the row index and the
+    values on each line. An error while iterating ends the output there;
+    the lines already printed stay.
+    """
+    from .coeffs import format_coeff
+
+    if names:
+        print(",".join(("index",) + names))
+    for k, row in enumerate(zip(*columns)):
+        text = ",".join(map(format_coeff, row))
+        print("%d,%s" % (k, text) if names else text)
 
 
 def _run_series(args) -> None:
     if args.n < 0:
         raise ValueError("series: --n must be >= 0")
-    _emit_values(CATALOG[args.name]().take(args.n), args.csv)
+    from itertools import islice
+
+    from .catalog import CATALOG
+
+    # islice keeps only the node it has reached, not the first one.
+    _write([islice(CATALOG[args.name](), args.n)],
+           ("value",) if args.csv else None)
 
 
 def _run_lambertw(args) -> None:
     if args.n < 0:
         raise ValueError("lambertw: --n must be >= 0")
-    _emit_values(lambert_w_tower().elements(args.n), csv=False)
+    from .dif import lambert_w_tower
+
+    _write([_finite(lambert_w_tower().elements(args.n))])
 
 
 def _run_qft(args) -> None:
+    from .qft import greens
+
     series = greens(args.g, args.order)
-    _emit_values(series.take(args.order + 1), csv=True)
+    _write([series.take(args.order + 1)], ("value",))
 
 
 def _run_wkb(args) -> None:
+    from .wkb import airy_s0_prime, wkb_expand
+
     result = wkb_expand(airy_s0_prime(args.x0), args.orders)
-    u_vals = _formatted(result.u_main.take(args.orders), "u_main element")
-    v_vals = _formatted(result.v_prime_main.take(args.orders),
-                        "v_prime_main element")
-    print("index,u_main,v_prime_main")
-    for k in range(args.orders):
-        print("%d,%s,%s" % (k, u_vals[k], v_vals[k]))
+    _write([_finite(result.u_main.take(args.orders), "u_main element"),
+            _finite(result.v_prime_main.take(args.orders),
+                    "v_prime_main element")],
+           ("u_main", "v_prime_main"))
 
 
 def _audio_stream(args):
+    from .dsp import allpass, euler_osc, karplus_strong, noise, sine, vibrato
+
     h = 2.0 * math.pi * args.freq / args.rate
     if args.kind == "sine":
         return sine(h)
@@ -156,7 +177,7 @@ def _audio_stream(args):
         mod_h = 2.0 * math.pi * 5.0 / args.rate
         wobble = sine(mod_h).map(lambda v: 1.0 + 0.05 * v)
         return vibrato(h, wobble)
-    excitation = take(args.length, noise(args.seed))
+    excitation = noise(args.seed).take(args.length)
     string = karplus_strong(args.length, excitation)
     if args.kind == "ks":
         return string
@@ -169,6 +190,8 @@ def _run_audio(args) -> None:
     # The rate is checked first because the generators divide by it.
     if args.rate <= 0:
         raise ValueError("write_wav: rate must be > 0")
+    from .dsp import write_wav
+
     path = write_wav(args.out, args.rate, _audio_stream(args), args.dur)
     frames = int(args.rate * args.dur)
     print("wrote %s (%d frames at %d Hz)" % (path, frames, args.rate))
@@ -195,6 +218,8 @@ def main(argv=None) -> int:
     outcome = [0]
 
     def work():
+        from .cells import NonProductiveError
+
         try:
             _RUNNERS[args.command](args)
         except (NonProductiveError, ValueError, ArithmeticError, OSError,

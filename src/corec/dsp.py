@@ -148,12 +148,16 @@ def write_wav(path: str, rate: int, s: Stream, seconds: float) -> str:
     are forced as iteration forces them, under the caller's recursion
     limit, so a definition deeper than that limit raises ``RecursionError``.
     A render whose byte rate or file size does not fit the header's 32-bit
-    fields raises ``ValueError`` before any file is made.
+    fields raises ``ValueError`` before any file is made, and so does a NaN
+    or infinite ``seconds``; a NaN sample raises ``ValueError`` naming its
+    index. An ``OSError`` about a file names ``path``, never the temporary
+    name.
     """
     if rate <= 0:
         raise ValueError("write_wav: rate must be > 0")
-    if seconds <= 0:
-        raise ValueError("write_wav: seconds must be > 0")
+    if not 0 < seconds < math.inf:
+        raise ValueError("write_wav: seconds must be > 0 and finite, not %r"
+                         % seconds)
     frames = int(rate * seconds)
     data_size = 2 * frames
     if rate * 2 > 0xFFFFFFFF or 36 + data_size > 0xFFFFFFFF:
@@ -168,23 +172,34 @@ def write_wav(path: str, rate: int, s: Stream, seconds: float) -> str:
     header += b"data" + struct.pack("<I", data_size)
 
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".wav.part")
+    tmp_path = None
     try:
+        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".wav.part")
         with os.fdopen(fd, "wb") as fh:
             fh.write(header)
             for start in range(0, frames, _CHUNK):
-                count = min(_CHUNK, frames - start)
-                # clamp to [-1, 1], scale and round
-                chunk = array("h", [
-                    int(round((1.0 if x > 1.0 else -1.0 if x < -1.0 else x)
-                              * 32767.0))
-                    for x in islice(samples, count)])
+                values = list(islice(samples, min(_CHUNK, frames - start)))
+                try:
+                    # clamp to [-1, 1], scale and round; NaN passes the clamp
+                    chunk = array("h", [
+                        round((1.0 if x > 1.0 else -1.0 if x < -1.0 else x)
+                              * 32767.0)
+                        for x in values])
+                except ValueError:
+                    nans = [k for k, x in enumerate(values) if x != x]
+                    if not nans:
+                        raise
+                    raise ValueError("write_wav: sample %d is nan"
+                                     % (start + nans[0])) from None
                 if sys.byteorder == "big":
                     chunk.byteswap()
                 chunk.tofile(fh)
         os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
+    except BaseException as exc:
+        if tmp_path is not None and os.path.exists(tmp_path):
             os.unlink(tmp_path)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # The temporary name is random; name the file asked for.
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
     return path

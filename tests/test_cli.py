@@ -1,4 +1,5 @@
 import hashlib
+import io
 import math
 import os
 import subprocess
@@ -7,7 +8,7 @@ import threading
 
 import pytest
 
-from corec import cli
+from corec import catalog, cli
 from corec.cli import main
 
 
@@ -304,3 +305,55 @@ def test_main_leaves_the_interpreter_settings_as_they_were(monkeypatch, capsys):
     # The command ran on the worker, under the limits derived for it.
     assert seen == [(False, cli._STACK // 1024, 0)]
     capsys.readouterr()
+
+
+def test_an_error_after_the_first_line_keeps_the_printed_lines(monkeypatch, capsys):
+    # Element 3 of the patched sequence fails; elements 0-2 are printed.
+    def failing():
+        return catalog.integers().map(lambda v: v if v < 4 else math.sqrt(-1))
+
+    monkeypatch.setitem(catalog.CATALOG, "integs", failing)
+    code, out, err = run(capsys, "series", "integs", "--n", "10")
+    assert (code, out, err) == (2, "1\n2\n3\n", "error: math domain error\n")
+    code, out, err = run(capsys, "series", "integs", "--n", "10", "--csv")
+    assert (code, out, err) == (2, "index,value\n0,1\n1,2\n2,3\n",
+                                "error: math domain error\n")
+
+
+def test_each_line_is_written_before_the_next_element_is_forced(monkeypatch):
+    printed = io.StringIO()
+    seen = []
+
+    def recording(v):
+        seen.append(printed.getvalue())
+        return v
+
+    monkeypatch.setitem(catalog.CATALOG, "integs",
+                        lambda: catalog.integers().map(recording))
+    monkeypatch.setattr(sys, "stdout", printed)
+    assert main(["series", "integs", "--n", "4"]) == 0
+    assert seen == ["", "1\n", "1\n2\n", "1\n2\n3\n"]
+    assert printed.getvalue() == "1\n2\n3\n4\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--dur", "nan"], "write_wav: seconds must be > 0 and finite, not nan"),
+    (["--dur", "inf"], "write_wav: seconds must be > 0 and finite, not inf"),
+    (["--freq", "nan"], "write_wav: sample 0 is nan"),
+])
+def test_audio_nan_and_infinity_exit_2(tmp_path, capsys, argv, message):
+    target = tmp_path / "x.wav"
+    code, out, err = run(capsys, "audio", "sine", "--out", str(target),
+                         "--rate", "8000", *argv)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_missing_output_directory_gives_the_same_error_each_time(tmp_path):
+    target = str(tmp_path / "no" / "such" / "a.wav")
+    first = _run_module("audio", "sine", "--out", target)
+    second = _run_module("audio", "sine", "--out", target)
+    assert first.returncode == second.returncode == 2
+    assert first.stderr == second.stderr == (
+        "error: [Errno 2] No such file or directory: %r\n" % target)
+    assert list(tmp_path.iterdir()) == []

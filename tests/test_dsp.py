@@ -19,7 +19,7 @@ from corec.dsp import (
     vibrato,
     write_wav,
 )
-from corec.stream import Stream, cons, repeat, take
+from corec.stream import Stream, cons, prepend, repeat, take
 
 
 def impulse():
@@ -350,3 +350,37 @@ def test_wav_too_large_for_its_header_is_refused_before_any_file(tmp_path):
     data = target.read_bytes()
     assert struct.unpack("<I", data[28:32]) == (0xFFFFFFFE,)
     assert len(data) == 44 + 2 * 2
+
+
+@pytest.mark.parametrize("seconds", [math.nan, math.inf, -math.inf])
+def test_wav_refuses_a_seconds_that_is_not_finite(tmp_path, seconds):
+    message = "write_wav: seconds must be > 0 and finite, not %r" % seconds
+    with pytest.raises(ValueError, match="^%s$" % message):
+        write_wav(str(tmp_path / "x.wav"), 8000, repeat(0.0), seconds)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_wav_names_the_index_of_a_nan_sample(tmp_path):
+    # The clamp lets NaN through; the first one, in the second chunk, is
+    # reported by its index in the whole render.
+    index = (1 << 14) + 5
+    s = prepend([0.25] * index + [math.nan, math.nan], repeat(0.0))
+    with pytest.raises(ValueError, match="^write_wav: sample %d is nan$" % index):
+        write_wav(str(tmp_path / "x.wav"), 8000, s, 4.0)
+    assert list(tmp_path.iterdir()) == []
+    # Infinities are clamped as before.
+    write_wav(str(tmp_path / "inf.wav"), 100, cons(math.inf, lambda: repeat(-math.inf)), 0.02)
+    assert struct.unpack("<2h", (tmp_path / "inf.wav").read_bytes()[44:]) == (32767, -32767)
+
+
+def test_wav_errors_name_the_path_not_the_temporary_file(tmp_path):
+    missing = str(tmp_path / "missing" / "x.wav")
+    with pytest.raises(FileNotFoundError) as excinfo:
+        write_wav(missing, 8000, repeat(0.0), 0.1)
+    assert excinfo.value.filename == missing
+    assert str(excinfo.value).endswith(": %r" % missing)
+    # Renaming onto a directory fails after the render; its error names it too.
+    with pytest.raises(OSError) as excinfo:
+        write_wav(str(tmp_path), 8000, repeat(0.0), 0.1)
+    assert excinfo.value.filename == str(tmp_path)
+    assert list(tmp_path.iterdir()) == []
