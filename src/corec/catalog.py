@@ -9,7 +9,10 @@ series ``B_m`` with
 and the generating function is ``1 + x * B_1(x)``. Every family member is
 a fresh stream created on demand, so forcing N coefficients materializes
 O(N) member series and keeps the N^2/4 sum nodes that the open recurrence
-reads (inherent to it, not a leak); a shift builds only the zeros read.
+reads (inherent to it, not a leak). The sum passes ``B_(m+1)`` through for
+the m-1 zeros of the shift, so no zero is built after the first: forcing
+800 coefficients builds 799 zero nodes instead of 160,000 and forces
+319,601 tails instead of 478,802.
 """
 
 from __future__ import annotations

@@ -18,15 +18,16 @@ them), forces both:
   unpacks it without a length test. Elementwise operations (``map``,
   ``zip_with``, ``+``, ``-``, negation, ``scale``) thus allocate one node
   per element and no closures. The rule is where an algebra keeps its
-  short-cuts (a series plus ``ZERO`` is the series). A rule only builds
-  nodes and never forces, so when a head is forced while the operands'
-  tails already are, the successor is built at once; a rule that raises
-  there is run again, and raises, at ``.tail``. Once both cells are
-  forced the node drops its operands, so a forced prefix pins no operand
-  nodes. Forcing an operand is a plain Python call, which CPython 3.11
-  runs without C stack, so a pointwise chain is limited only by the
-  recursion limit; thunks and ``defer`` still reach through the
-  properties and use C stack per level.
+  short-cuts: a series plus ``ZERO`` is the series, and a series plus
+  ``x^k p`` passes the series through for the k zeros of the shift, which
+  are never built. A rule only builds nodes and never forces, so when a
+  head is forced while the operands' tails already are, the successor is
+  built at once; a rule that raises there is run again, and raises, at
+  ``.tail``. Once both cells are forced the node drops its operands, so a
+  forced prefix pins no operand nodes. Forcing an operand is a plain
+  Python call, which CPython 3.11 runs without C stack, so a pointwise
+  chain is limited only by the recursion limit; thunks and ``defer`` still
+  reach through the properties and use C stack per level.
 
 Products, quotients, integrals and derivatives of series and towers are
 pointwise nodes over a series of indices (``series._indices``): element n
@@ -43,7 +44,9 @@ of its own: ``compose``'s Horner scheme, ``transpose``,
 A deferred node (:meth:`LazyPair.defer`) is a thunk node that reads the
 head and the tail of the node its function returns; that function runs
 once, as the head thunk of a private cell forced by the same machine.
-:meth:`LazyPair.delayed` (``shift``, ``delay``) builds each fill when read.
+:meth:`LazyPair.delayed` (``shift``, ``delay``) builds each fill when read,
+and :func:`delayed_run` reads how many fills of such a run are left and
+the node after them, so that only this module knows how a run is laid out.
 
 Each cell moves through three states: unevaluated, in progress, evaluated.
 A definition that is not productive, i.e. one whose cell k transitively
@@ -211,9 +214,7 @@ class LazyPair:
     @classmethod
     def delayed(cls, m, node, fill):
         """``m`` copies of ``fill``, each built when read, then ``node``."""
-        if index(m) == 0:
-            return node
-        return cls.cons(fill, partial(cls.delayed, m - 1, node, fill))
+        return _delayed(cls, index(m), node, fill)
 
     @classmethod
     def defer(cls, fn):
@@ -272,6 +273,24 @@ class LazyPair:
         shown = self._forced_prefix()
         inner = ", ".join(repr(v) for v in shown)
         return "<%s [%s...]>" % (type(self).__name__, inner)
+
+
+def _delayed(cls, m, node, fill):
+    if m == 0:
+        return node
+    return cls.cons(fill, partial(_delayed, cls, m - 1, node, fill))
+
+
+def delayed_run(node, fill):
+    """``(k, rest)`` if ``node`` starts a run of :meth:`LazyPair.delayed`:
+    ``k`` copies of ``fill`` and then ``rest``, none past ``node`` built
+    yet. Otherwise, and once ``node``'s tail is forced, None."""
+    rest = node._t
+    if node._ts == _UNFORCED and type(rest) is partial and rest.func is _delayed:
+        _, m, rest, f = rest.args
+        if f is fill:
+            return m + 1, rest
+    return None
 
 
 def _elements(node):

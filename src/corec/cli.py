@@ -16,7 +16,9 @@ running out of memory). Identical invocations produce byte-identical
 output. ``series`` and ``qft`` print each line as it is formatted; an
 error after the first line leaves the lines printed, writes one
 ``error:`` line and exits 2. ``lambertw`` and ``wkb`` print nothing if a
-value is not a finite float.
+value is not a finite float. A reader that closes standard output early
+(``corec series fibs --n 3000 | head -n 2``) ends the command quietly
+with exit status 0: what is left unprinted is dropped.
 
 Parsing the arguments imports no library module, so ``--help`` and
 usage errors import none. Each runner imports the modules its command
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import threading
 
@@ -222,6 +225,15 @@ def main(argv=None) -> int:
 
         try:
             _RUNNERS[args.command](args)
+        except BrokenPipeError:
+            # The reader stopped early, as ``head`` does: not an error.
+            # Standard output now goes to os.devnull, so that the flush of
+            # what is left in its buffer at exit cannot raise again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, sys.stdout.fileno())
+            finally:
+                os.close(devnull)
         except (NonProductiveError, ValueError, ArithmeticError, OSError,
                 RecursionError, MemoryError) as exc:
             sys.stderr.write("error: %s\n" % exc)

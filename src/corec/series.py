@@ -46,7 +46,7 @@ from functools import partial
 from operator import add, mul, neg, sub
 from typing import Callable
 
-from .cells import LazyPair, _head, _tail, pointwise
+from .cells import LazyPair, _head, _tail, delayed_run, pointwise
 from .coeffs import (
     divide,
     dot,
@@ -476,12 +476,26 @@ def _map(f, u):
 
 
 def _zip(op, u, v):
-    # u + v or u - v, with the short-cuts of ZERO on either side.
+    # u + v or u - v, with the short-cuts of ZERO on either side. When v is
+    # k zeros of a shift, none built yet, and then p, u passes through:
+    # k nodes op(u_j, 0) over ZERO, then u_k with p.
     if v is ZERO:
         return u
     if u is ZERO:
         return v if op is add else -v
-    return pointwise(Series, _zip, op, u, v)
+    run = delayed_run(v, 0)
+    if run is None:
+        return pointwise(Series, _zip, op, u, v)
+    return pointwise(Series, partial(_passing, *run), op, u, ZERO)
+
+
+def _passing(k, p, op, u, zero):
+    # The tail rule of a pass-through node with k zeros left, this one's too.
+    if k == 1:
+        return _zip(op, u, p)
+    if u is ZERO:
+        return _zip(op, u, Series.delayed(k - 1, p, 0))
+    return pointwise(Series, partial(_passing, k - 1, p), op, u, ZERO)
 
 
 def _along(op, u, ks):

@@ -173,12 +173,16 @@ def test_depth_and_memory_errors_exit_2(monkeypatch, capsys, exc):
     assert capsys.readouterr().err == "error: %s\n" % exc
 
 
-def _run_python(*args):
+def _env():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _run_python(*args):
     return subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=_env(), timeout=60)
 
 
 def _run_module(*argv):
@@ -357,3 +361,21 @@ def test_a_missing_output_directory_gives_the_same_error_each_time(tmp_path):
     assert first.stderr == second.stderr == (
         "error: [Errno 2] No such file or directory: %r\n" % target)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_reader_that_stops_early_is_not_an_error():
+    # As in `corec series fibs --n 3000 | head -n 2`: the output is far
+    # larger than a pipe holds, so the writer meets the closed pipe.
+    proc = subprocess.Popen([sys.executable, "-m", "corec", "series", "fibs",
+                             "--n", "3000"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_env())
+    try:
+        lines = [proc.stdout.readline(), proc.stdout.readline()]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert lines == [b"0\n", b"1\n"]
+    assert (code, err) == (0, b"")

@@ -137,6 +137,98 @@ def test_float_quotients_match_long_division(u, v):
     _same((su / sv).coefficients(N), _quotient(a, la, b, lb))
 
 
+# -- sums with a shifted operand ----------------------------------------------
+
+def _shifted_sum(sign, a, la, b, lb, k):
+    """Dense u + x^k v or u - x^k v, read as the pointwise sum reads it:
+    where only one operand has a node the result is that node's value,
+    negated for v under subtraction; the zeros of x^k are the int 0."""
+    out = []
+    for j in range(N):
+        in_u = la is None or j < la
+        in_v = lb is None or j < k + lb
+        x = 0 if j < k else b[j - k]
+        if in_u and in_v:
+            out.append(a[j] + x if sign == "+" else a[j] - x)
+        elif in_u:
+            out.append(a[j])
+        elif in_v:
+            out.append(x if sign == "+" else -x)
+        else:
+            out.append(0)
+    return out
+
+
+def _plus_or_minus(sign, u, v):
+    return u + v if sign == "+" else u - v
+
+
+# -0.0 is drawn often, so that it falls inside the shift's zeros.
+signed_floats = st.one_of(st.just(-0.0), floats)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(u=_operands(exacts), v=_operands(exacts), k=st.integers(0, N),
+       sign=st.sampled_from("+-"))
+def test_exact_sums_with_a_shift_match_the_dense_sum(u, v, k, sign):
+    (su, a, la), (sv, b, lb) = u, v
+    got = _plus_or_minus(sign, su, sv.shift(k)).coefficients(N)
+    _same(got, _shifted_sum(sign, a, la, b, lb, k))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(u=_operands(signed_floats), v=_operands(signed_floats),
+       k=st.integers(0, N), sign=st.sampled_from("+-"))
+def test_float_sums_with_a_shift_match_the_dense_sum(u, v, k, sign):
+    (su, a, la), (sv, b, lb) = u, v
+    got = _plus_or_minus(sign, su, sv.shift(k)).coefficients(N)
+    _same(got, _shifted_sum(sign, a, la, b, lb, k))
+
+
+def test_signed_zeros_over_a_shift_keep_their_sum():
+    u = Series.from_list([-0.0, 1.5, -0.0, -0.0])
+    v = Series.from_list([-0.0, 2.0])
+    _same((u + v.shift(2)).coefficients(5), [0.0, 1.5, -0.0, 2.0, 0])
+    _same((u - v.shift(2)).coefficients(5), [-0.0, 1.5, 0.0, -2.0, 0])
+    _same((u + v.shift(6)).coefficients(8), [0.0, 1.5, 0.0, 0.0, 0, 0, -0.0, 2.0])
+
+
+def test_a_sum_builds_none_of_the_zeros_of_a_shift():
+    u = Series.from_list([1, 2, 3, 4, 5, 6])
+    v = Series.from_list([7, Fraction(1, 2)])
+    shifted = v.shift(4)
+    _same((u + shifted).coefficients(8), [1, 2, 3, 4, 12, Fraction(13, 2), 0, 0])
+    _same((u - shifted).coefficients(8), [1, 2, 3, 4, -2, Fraction(11, 2), 0, 0])
+    # Only the first zero exists, built by shift; its tail is still unread.
+    assert repr(shifted) == "<Series [0...]>"
+    # u ends inside the shift: the rest of the zeros, then v (negated).
+    short = Series.from_list([1])
+    _same((short + shifted).coefficients(7), [1, 0, 0, 0, 7, Fraction(1, 2), 0])
+    _same((short - shifted).coefficients(7), [1, 0, 0, 0, -7, Fraction(-1, 2), 0])
+    assert repr(shifted) == "<Series [0...]>"
+
+
+@pytest.mark.parametrize("walked", range(7))
+def test_a_shift_walked_by_another_reader_gives_the_same_sum(walked):
+    u = _infinite([], [1, Fraction(1, 3)])
+    v = Series.from_list([7, 8])
+    want = [1, Fraction(1, 3), 1, Fraction(1, 3), 8, Fraction(25, 3), 1]
+    shifted = v.shift(4)
+    assert shifted.take(walked) == [0, 0, 0, 0, 7, 8, 0][:walked]
+    _same((u + shifted).coefficients(7), want)
+    _same((u - shifted.tail.tail).coefficients(5),
+          [1, Fraction(1, 3), -6, Fraction(-23, 3), 1])
+
+
+def test_nested_shifts_and_monomials_pass_through_lazily():
+    u = _infinite([], [1])
+    v = Series.from_list([5])
+    assert (u + v.shift(2).shift(3)).coefficients(8) == [1, 1, 1, 1, 1, 6, 1, 1]
+    assert (u + Series.monomial(3)).coefficients(5) == [1, 1, 1, 2, 1]
+    # Far shifts cost nothing until their positions are read.
+    assert (u + v.shift(10 ** 9)).take(3) == [1, 1, 1]
+
+
 def test_int_operands_give_int_coefficients():
     got = (Series.from_list([1, 2, 3]) * Series.from_list([4, 5])).coefficients(5)
     _same(got, [4, 13, 22, 15, 0])
