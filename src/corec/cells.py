@@ -13,21 +13,25 @@ them), forces both:
 
 - a *thunk node* holds a zero-argument thunk for each cell;
 - a *pointwise node* (:func:`pointwise`) holds ``(op, a, b)`` and a tail
-  rule. Its head is ``op(a.head, b.head)`` and its tail is ``rule(op,
-  a.tail, b.tail)``; a unary node holds ``(op, a, None)``, so the machine
-  unpacks it without a length test. Elementwise operations (``map``,
-  ``zip_with``, ``+``, ``-``, negation, ``scale``) thus allocate one node
-  per element and no closures. The rule is where an algebra keeps its
-  short-cuts: a series plus ``ZERO`` is the series, and a series plus
-  ``x^k p`` passes the series through for the k zeros of the shift, which
-  are never built. A rule only builds nodes and never forces, so when a
-  head is forced while the operands' tails already are, the successor is
-  built at once; a rule that raises there is run again, and raises, at
-  ``.tail``. Once both cells are forced the node drops its operands, so a
-  forced prefix pins no operand nodes. Forcing an operand is a plain
-  Python call, which CPython 3.11 runs without C stack, so a pointwise
-  chain is limited only by the recursion limit; thunks and ``defer`` still
-  reach through the properties and use C stack per level.
+  rule or None. Its head is ``op(a.head, b.head)``. Its tail is the plain
+  successor, the pointwise node ``(op, a.tail, b.tail)`` with no rule,
+  which the machine builds itself without a call; a node with a rule has
+  ``rule(op, a.tail, b.tail)`` instead. A unary node holds ``(op, a,
+  None)``, so the machine unpacks it without a length test. Elementwise
+  operations (``map``, ``zip_with``, ``+``, ``-``, negation, ``scale``)
+  thus allocate one node per element and no closures. A rule exists only
+  where an algebra has a short-cut: a series plus ``ZERO`` is the series,
+  and a series plus ``x^k p`` passes the series through for the k zeros
+  of the shift, which are never built. A stream has none, so its nodes
+  carry no rule and its successors cost no Python call. A rule only
+  builds nodes and never forces, so when a head is forced while the
+  operands' tails already are, the successor is built at once; a rule
+  that raises there is run again, and raises, at ``.tail``. Once both
+  cells are forced the node drops its operands, so a forced prefix pins
+  no operand nodes. Forcing an operand is a plain Python call, which
+  CPython 3.11 runs without C stack, so a pointwise chain is limited only
+  by the recursion limit; thunks and ``defer`` still reach through the
+  properties and use C stack per level.
 
 Products, quotients, integrals and derivatives of series and towers are
 pointwise nodes over a series of indices (``series._indices``): element n
@@ -125,12 +129,22 @@ def _head(node):
     if ops is not None:
         state = node._ts
         if state == _UNFORCED and a._ts == _FORCED and (b is None or b._ts == _FORCED):
-            # The successor's operands are at hand: build it now. A rule
-            # that raises is left for the tail to run again.
-            try:
-                node._t = node._t(op, a._t) if b is None else node._t(op, a._t, b._t)
-            except Exception:
-                return value
+            # The successor's operands are at hand: build it now, here when
+            # there is no rule. A rule that raises is left for the tail to
+            # run again.
+            rule = node._t
+            if rule is None:
+                rest = object.__new__(type(node))
+                rest._hs = _UNFORCED
+                rest._ts = _UNFORCED
+                rest._t = None
+                rest._ops = (op, a._t, None if b is None else b._t)
+                node._t = rest
+            else:
+                try:
+                    node._t = rule(op, a._t) if b is None else rule(op, a._t, b._t)
+                except Exception:
+                    return value
             node._ts = _FORCED
             node._ops = None
         elif state == _FORCED:
@@ -153,10 +167,19 @@ def _tail(node):
         else:
             op, a, b = ops
             a = a._t if a._ts == _FORCED else _tail(a)
-            if b is None:
-                rest = node._t(op, a)
+            if b is not None:
+                b = b._t if b._ts == _FORCED else _tail(b)
+            rule = node._t
+            if rule is None:
+                rest = object.__new__(type(node))
+                rest._hs = _UNFORCED
+                rest._ts = _UNFORCED
+                rest._t = None
+                rest._ops = (op, a, b)
+            elif b is None:
+                rest = rule(op, a)
             else:
-                rest = node._t(op, a, b._t if b._ts == _FORCED else _tail(b))
+                rest = rule(op, a, b)
     except BaseException:
         node._ts = _UNFORCED
         raise
@@ -170,7 +193,9 @@ def _tail(node):
 def pointwise(cls, rule, op, a, b=None):
     """A ``cls`` node whose head is ``op(a.head)`` and whose tail is
     ``rule(op, a.tail)``; with ``b`` they are ``op(a.head, b.head)`` and
-    ``rule(op, a.tail, b.tail)``."""
+    ``rule(op, a.tail, b.tail)``. With ``rule`` None the tail is the same
+    node over the operands' tails, built by the forcing machine; give a
+    rule only where the algebra has a short-cut to take."""
     node = cls.__new__(cls)
     node._hs = _UNFORCED
     node._ts = _UNFORCED
@@ -185,7 +210,7 @@ class LazyPair:
     ``_h``/``_t`` hold the head and tail once forced. Before that, a thunk
     node (``_ops is None``) keeps a zero-argument thunk in each; a
     pointwise node keeps its operands ``(op, a, b)`` (``b`` None for a
-    unary op) in ``_ops`` and its tail rule in ``_t``.
+    unary op) in ``_ops`` and its tail rule, or None, in ``_t``.
     """
 
     __slots__ = ("_hs", "_h", "_ts", "_t", "_ops")

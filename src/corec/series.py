@@ -203,7 +203,7 @@ class Series(Analytic):
         if not isinstance(other, Series):
             # scalar: adds to the constant term
             other = Series.cons(other, ZERO)
-        return _zip(add, self, other)
+        return _sum(add, self, other)
 
     __radd__ = __add__
 
@@ -212,7 +212,7 @@ class Series(Analytic):
             if self is ZERO:
                 return Series.cons(-other, ZERO)
             other = Series.cons(other, ZERO)
-        return _zip(sub, self, other)
+        return _sum(sub, self, other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -475,18 +475,24 @@ def _map(f, u):
     return pointwise(Series, _map, f, u)
 
 
+def _sum(op, u, v):
+    # u + v or u - v as written. When v is k zeros of a shift, none built
+    # yet, and then p, u passes through: k nodes op(u_j, 0) over ZERO, then
+    # u_k with p. Only here is v checked for a shift; a run met further on
+    # is summed node by node.
+    run = None if u is ZERO or v is ZERO else delayed_run(v, 0)
+    if run is None:
+        return _zip(op, u, v)
+    return pointwise(Series, partial(_passing, *run), op, u, ZERO)
+
+
 def _zip(op, u, v):
-    # u + v or u - v, with the short-cuts of ZERO on either side. When v is
-    # k zeros of a shift, none built yet, and then p, u passes through:
-    # k nodes op(u_j, 0) over ZERO, then u_k with p.
+    # The tail rule of a sum, with the short-cuts of ZERO on either side.
     if v is ZERO:
         return u
     if u is ZERO:
         return v if op is add else -v
-    run = delayed_run(v, 0)
-    if run is None:
-        return pointwise(Series, _zip, op, u, v)
-    return pointwise(Series, partial(_passing, *run), op, u, ZERO)
+    return pointwise(Series, _zip, op, u, v)
 
 
 def _passing(k, p, op, u, zero):

@@ -89,11 +89,11 @@ def defer(fn: Callable[[], Stream]) -> Stream:
 
 def zip_with(f: Callable, a: Stream, b: Stream) -> Stream:
     """Stream whose element k is ``f(a_k, b_k)``."""
-    return pointwise(Stream, zip_with, f, a, b)
+    return pointwise(Stream, None, f, a, b)
 
 
 def _map(f, a):
-    return pointwise(Stream, _map, f, a)
+    return pointwise(Stream, None, f, a)
 
 
 def scale(c, s: Stream) -> Stream:

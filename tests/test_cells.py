@@ -211,6 +211,20 @@ def test_message_names_the_op_of_a_pointwise_node():
     assert "bump" in message
 
 
+def test_a_cycle_at_a_later_node_of_a_stream_sum_names_its_op():
+    # Element 2 of y reads z_2, which reads y_2 itself; the node of y_2 is
+    # built by the forcing machine, not by a rule.
+    x = Stream.cons(1, lambda: y)
+    z = Stream.cons(0, lambda: Stream.cons(
+        0, lambda: Stream(lambda: y.at(2), lambda: repeat(0))))
+    y = x + z
+    assert y.take(2) == [1, 1]
+    for _ in range(2):
+        with pytest.raises(NonProductiveError) as info:
+            y.at(2)
+        assert "the head of the node computing <built-in function add>" in str(info.value)
+
+
 def test_a_cycle_at_a_series_product_names_its_element_function():
     v = Series(lambda: p.head, lambda: ZERO)
     p = Series.from_list([1, 2]) * v

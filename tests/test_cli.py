@@ -2,6 +2,7 @@ import hashlib
 import io
 import math
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -131,6 +132,89 @@ def test_audio_sine_and_allpass(tmp_path, capsys):
                          "--rate", "8000", "--dur", "0.1")
         assert code == 0
         assert out_path.read_bytes()[:4] == b"RIFF"
+
+
+# Each audio kind's recurrence written out over plain lists, with the
+# operations in the order the streams apply them, at the CLI's defaults
+# (440 Hz, seed 1, a 100-sample string, b = 0.5, m = 3).
+
+def _sine_list(h, n):
+    k = 2.0 * math.cos(h)
+    y = [math.sin(h)]
+    while len(y) < n:
+        y.append(k * y[-1] - (y[-2] if len(y) > 1 else 0.0))
+    return y
+
+
+def _euler_list(h, n, mod=None):
+    mod = mod or [1.0] * n
+    y, u = [0.0], [1.0]
+    while len(y) < n:
+        j = len(y) - 1
+        w = y[j] + h * (mod[j] * u[j])
+        y.append(w)
+        u.append(u[j] - h * (mod[j] * w))
+    return y
+
+
+def _splitmix_list(seed, n):
+    mask = (1 << 64) - 1
+    state, out = seed & mask, []
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        z ^= z >> 31
+        out.append((z >> 11) * 2.0 ** -53 * 2.0 - 1.0)
+    return out
+
+
+def _string_list(length, n):
+    y = _splitmix_list(1, length)
+    while len(y) < n:
+        j = len(y) - length
+        y.append(0.5 * (y[j] + (y[j - 1] if j else 0.0)))
+    return y[:n]
+
+
+def _allpass_list(x, m=3, b=0.5):
+    v, y = [], []
+    for j, xj in enumerate(x):
+        d = v[j - m] if j >= m else 0.0
+        v.append(xj - b * d)
+        y.append(b * v[j] + d)
+    return y
+
+
+def _wav_bytes(rate, samples):
+    data = b"".join(
+        struct.pack("<h", round(max(-1.0, min(1.0, x)) * 32767.0))
+        for x in samples)
+    return (b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVE"
+            + b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, rate, 2 * rate, 2, 16)
+            + b"data" + struct.pack("<I", len(data)) + data)
+
+
+@pytest.mark.parametrize("kind", ["sine", "euler", "vibrato", "ks", "allpass-demo"])
+def test_every_audio_kind_matches_its_recurrence_over_lists(tmp_path, capsys, kind):
+    rate, n = 8000, 2000
+    h = 2.0 * math.pi * 440.0 / rate
+    if kind == "sine":
+        want = _sine_list(h, n)
+    elif kind == "euler":
+        want = _euler_list(h, n)
+    elif kind == "vibrato":
+        wobble = [1.0 + 0.05 * v for v in _sine_list(2.0 * math.pi * 5.0 / rate, n)]
+        want = _euler_list(h, n, wobble)
+    elif kind == "ks":
+        want = _string_list(100, n)
+    else:
+        want = _allpass_list(_string_list(100, n))
+    out_path = tmp_path / (kind + ".wav")
+    code, _, _ = run(capsys, "audio", kind, "--out", str(out_path),
+                     "--rate", str(rate), "--dur", "0.25")
+    assert code == 0
+    assert out_path.read_bytes() == _wav_bytes(rate, want)
 
 
 def test_audio_error_leaves_no_file(tmp_path, capsys):

@@ -258,7 +258,7 @@ def test_polynomial_products_end_in_zero_past_their_degree(a, b):
     assert _nodes_before_zero(u / c) == len(a)
 
 
-def _polynomial(values, forced):
+def _counted_polynomial(values, forced):
     # values, then ZERO; every coefficient read is recorded in forced.
     node = ZERO
     for k in reversed(range(len(values))):
@@ -281,7 +281,7 @@ def _tails_before_zero(node, limit=20):
        b=st.lists(exacts, min_size=1, max_size=6))
 def test_polynomial_ends_are_found_from_tails_alone(a, b):
     forced = []
-    u, v = _polynomial(a, forced), _polynomial(b, forced)
+    u, v = _counted_polynomial(a, forced), _counted_polynomial(b, forced)
     assert _tails_before_zero(u * v) == len(a) + len(b) - 1
     assert forced == []
     # A quotient reads the divisor's constant term up front, and no more.

@@ -190,3 +190,34 @@ def test_repr_shows_only_forced_prefix():
     take(2, s)
     repr(s)
     assert counter[0] == 2  # repr forced nothing new
+
+
+def _chain(counter, calls):
+    # A zip_with of a scaled map and a fibs sum over a counting source;
+    # calls records every element op run.
+    def f(v):
+        calls.append(v)
+        return v * v - 1
+
+    def g(a, b):
+        calls.append((a, b))
+        return a - 3 * b
+
+    s = counting_source(counter)
+    return zip_with(g, scale(2, s.map(f)), make_fibs() + s)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_a_chain_walked_by_tails_alone_reads_as_one_read_head_first(n):
+    counter, calls = [0], []
+    nodes = [_chain(counter, calls)]
+    for _ in range(n):
+        nodes.append(nodes[-1].tail)
+    # Walking by tails built every node and ran no element op.
+    assert counter == [0] and calls == []
+    assert all(type(node) is Stream for node in nodes)
+    want = take(n + 1, _chain([0], []))
+    # Heads read last first give what a fresh chain gives read in order.
+    assert [node.head for node in reversed(nodes)][::-1] == want
+    assert counter == [n + 1]
+    assert take(n + 1, nodes[0]) == want
