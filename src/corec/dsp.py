@@ -2,8 +2,10 @@
 
 A sound here is just an infinite stream of float64 samples, nominally in
 [-1, 1]; every generator and filter below is a direct transcription of its
-defining recurrence into a self-referential stream. Quantization happens
-only when writing a file.
+defining recurrence into a self-referential stream. A step of a recurrence
+is one ``zip_with`` of its taps, so it costs one stream node per sample
+rather than one per operator. Quantization happens only when writing a
+file.
 
 The noise source is fully bit-specified (splitmix64) so that renders are
 reproducible across platforms and golden-file tests are portable.
@@ -12,7 +14,6 @@ reproducible across platforms and golden-file tests are portable.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import struct
 import sys
@@ -21,7 +22,7 @@ from array import array
 from itertools import islice
 from typing import Sequence
 
-from .stream import Stream, cons, defer, delay, prepend, scale, zip_with
+from .stream import Stream, cons, defer, delay, prepend, zip_with
 
 __all__ = [
     "sine",
@@ -38,12 +39,17 @@ def sine(h: float) -> Stream:
     """Sinusoid from the two-tap recurrence; sample n is sin((n+1)*h).
 
     Uses sin(n h) = 2 cos(h) sin((n-1)h) - sin((n-2)h), seeded by its own
-    prefix: the stream appears both one and two taps delayed on the right
-    hand side.
+    prefix: the step is one ``zip_with`` of the stream and the stream one
+    tap delayed. A NaN or infinite ``h`` raises ``ValueError``.
     """
+    if not math.isfinite(h):
+        raise ValueError("sine: h must be finite, not %r" % h)
     k = 2.0 * math.cos(h)
-    y = cons(math.sin(h),
-             lambda: scale(k, y) - cons(0.0, lambda: y))
+
+    def step(y1, y0):
+        return k * y1 - y0
+
+    y = cons(math.sin(h), lambda: zip_with(step, y, cons(0.0, lambda: y)))
     return y
 
 
@@ -51,11 +57,18 @@ def euler_osc(h: float) -> Stream:
     """Unit-frequency oscillator by the semi-implicit Euler step ``h``.
 
     y_{n+1} = y_n + h v_n and v_{n+1} = v_n - h y_{n+1}; the scheme is
-    stable for small h and the step controls the output frequency.
+    stable for small h and the step controls the output frequency. Each
+    update is one ``zip_with`` of the two streams.
     """
+    def ahead(a, b):
+        return a + h * b
+
+    def back(a, b):
+        return a - h * b
+
     y = cons(0.0, lambda: w)
-    w = defer(lambda: y + scale(h, u))
-    u = cons(1.0, lambda: u - scale(h, w))
+    w = defer(lambda: zip_with(ahead, y, u))
+    u = cons(1.0, lambda: zip_with(back, u, w))
     return y
 
 
@@ -63,11 +76,16 @@ def vibrato(h: float, mod: Stream) -> Stream:
     """Euler oscillator with both couplings weighted elementwise by ``mod``.
 
     A slowly varying ``mod`` near 1 wobbles the instantaneous frequency;
-    the constant stream 1 reproduces :func:`euler_osc` exactly.
+    the constant stream 1 reproduces :func:`euler_osc` exactly. Each
+    coupling ``h * (mod * v)`` is one ``zip_with``, added to ``y`` or
+    subtracted from ``u``.
     """
+    def coupling(m, b):
+        return h * (m * b)
+
     y = cons(0.0, lambda: w)
-    w = defer(lambda: y + scale(h, zip_with(operator.mul, mod, u)))
-    u = cons(1.0, lambda: u - scale(h, zip_with(operator.mul, mod, w)))
+    w = defer(lambda: y + zip_with(coupling, mod, u))
+    u = cons(1.0, lambda: u - zip_with(coupling, mod, w))
     return y
 
 
@@ -76,8 +94,9 @@ def karplus_strong(length: int, excitation: Sequence[float],
     """Plucked string: a delay line fed back through a two-tap average.
 
     The excitation (length ``length``) is the initial content of the delay
-    line; after it, sample L+n is blend * (y_n + y_{n-1}), which damps the
-    high frequencies a little on every pass and leaves a tone at roughly
+    line; after it, sample L+n is blend * (y_n + y_{n-1}), one ``zip_with``
+    of the line and the line one tap delayed. That damps the high
+    frequencies a little on every pass and leaves a tone at roughly
     rate / (length + 1/2).
     """
     if length < 2:
@@ -86,9 +105,13 @@ def karplus_strong(length: int, excitation: Sequence[float],
     if len(excitation) != length:
         raise ValueError("karplus_strong: excitation must have exactly "
                          "'length' samples")
+
+    def average(a, b):
+        return blend * (a + b)
+
     y = defer(lambda: prepend(
         excitation,
-        scale(blend, y + cons(0.0, lambda: y)),
+        zip_with(average, y, cons(0.0, lambda: y)),
     ))
     return y
 
@@ -96,16 +119,24 @@ def karplus_strong(length: int, excitation: Sequence[float],
 def allpass(m: int, b: float, x: Stream) -> Stream:
     """First-order all-pass section with delay ``m``: unit gain, phase only.
 
-    v = x - b * delay(v); y = b * v + delay(v). Productive because the
-    delayed branch starts with m known zeros.
+    v = x - b * delay(v); y = b * v + delay(v), each one ``zip_with`` of
+    its two taps. Productive because the delayed branch starts with m
+    known zeros.
     """
     if m < 1:
         raise ValueError("allpass: m must be >= 1")
     if not abs(b) < 1:
         raise ValueError("allpass: |b| must be < 1 for stability")
-    v = defer(lambda: x - scale(b, d))
+
+    def feedback(s, e):
+        return s - b * e
+
+    def output(s, e):
+        return b * s + e
+
+    v = defer(lambda: zip_with(feedback, x, d))
     d = delay(m, v, 0.0)
-    return scale(b, v) + d
+    return zip_with(output, v, d)
 
 
 _MASK64 = (1 << 64) - 1

@@ -125,6 +125,23 @@ def test_audio_writes_wav(tmp_path, capsys):
     assert str(out_path) in out
 
 
+# Euler and the all-pass filter over the string call no libm function, so
+# these bytes are the same on every IEEE-754 platform; the CI smoke job
+# checks the same digests.
+@pytest.mark.parametrize("argv, digest", [
+    (["euler", "--freq", "440"],
+     "5074d3dcc13d2f5d661b1409b8733adee20b56794caa918086638e6ab8f471c4"),
+    (["allpass-demo", "--seed", "42", "--len", "100"],
+     "5b49ada263dbe8c6acd338d14add40b6dbf8e59a36990698dec1f35e1d107162"),
+], ids=["euler", "allpass-demo"])
+def test_audio_portable_digests(tmp_path, capsys, argv, digest):
+    out_path = tmp_path / "out.wav"
+    code, _, _ = run(capsys, "audio", *argv, "--out", str(out_path),
+                     "--rate", "8000", "--dur", "0.5")
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
 def test_audio_sine_and_allpass(tmp_path, capsys):
     for kind in ("sine", "euler", "vibrato", "allpass-demo"):
         out_path = tmp_path / (kind + ".wav")
@@ -427,7 +444,10 @@ def test_each_line_is_written_before_the_next_element_is_forced(monkeypatch):
 @pytest.mark.parametrize("argv, message", [
     (["--dur", "nan"], "write_wav: seconds must be > 0 and finite, not nan"),
     (["--dur", "inf"], "write_wav: seconds must be > 0 and finite, not inf"),
-    (["--freq", "nan"], "write_wav: sample 0 is nan"),
+    # sine refuses the step h = 2 pi freq / rate itself, by name.
+    pytest.param(["--freq", "nan"], "sine: h must be finite, not nan", id="freq-nan"),
+    pytest.param(["--freq", "inf"], "sine: h must be finite, not inf", id="freq-inf"),
+    pytest.param(["--freq=-inf"], "sine: h must be finite, not -inf", id="freq-minus-inf"),
 ])
 def test_audio_nan_and_infinity_exit_2(tmp_path, capsys, argv, message):
     target = tmp_path / "x.wav"
@@ -435,6 +455,25 @@ def test_audio_nan_and_infinity_exit_2(tmp_path, capsys, argv, message):
                          "--rate", "8000", *argv)
     assert (code, out, err) == (2, "", "error: %s\n" % message)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_every_audio_kind_renders_under_a_recursion_limit_of_20(tmp_path):
+    # Each kind as the CLI builds it, 2 s at 8 kHz, forced under a limit
+    # of 20 instead of the CLI worker's.
+    script = (
+        "import sys\n"
+        "from corec.cli import _audio_stream, _build_parser\n"
+        "from corec.dsp import write_wav\n"
+        "kinds = ['sine', 'euler', 'vibrato', 'ks', 'allpass-demo']\n"
+        "streams = [_audio_stream(_build_parser().parse_args(\n"
+        "    ['audio', kind, '--out', 'x', '--rate', '8000'])) for kind in kinds]\n"
+        "sys.setrecursionlimit(20)\n"
+        "for kind, stream in zip(kinds, streams):\n"
+        "    write_wav('%s/%s.wav' % (sys.argv[1], kind), 8000, stream, 2.0)\n"
+    )
+    proc = _run_python("-c", script, str(tmp_path))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert sorted(p.stat().st_size for p in tmp_path.iterdir()) == [44 + 32000] * 5
 
 
 def test_a_missing_output_directory_gives_the_same_error_each_time(tmp_path):

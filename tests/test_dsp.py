@@ -1,7 +1,9 @@
 import cmath
 import hashlib
 import math
+import operator
 import os
+import random
 import struct
 import subprocess
 import sys
@@ -19,7 +21,17 @@ from corec.dsp import (
     vibrato,
     write_wav,
 )
-from corec.stream import Stream, cons, prepend, repeat, take
+from corec.stream import (
+    Stream,
+    cons,
+    defer,
+    delay,
+    prepend,
+    repeat,
+    scale,
+    take,
+    zip_with,
+)
 
 
 def impulse():
@@ -42,6 +54,12 @@ def test_sine_quarter_period():
 
 def test_sine_zero_step():
     assert take(4, sine(0.0)) == [0.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("h", [math.inf, -math.inf, math.nan])
+def test_sine_refuses_a_step_that_is_not_finite(h):
+    with pytest.raises(ValueError, match="^sine: h must be finite, not %r$" % h):
+        sine(h)
 
 
 @pytest.mark.parametrize("h", [0.001, 0.01, 0.1])
@@ -248,6 +266,94 @@ def test_wav_golden_digest(tmp_path):
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == ("a268eefd2f3aba66fbdbac68d0698bbececc65fa"
                       "652a301dd2fe69fad299d3d4")
+
+
+# -- the generators against their operator chains --------------------------------
+# Each generator written with one stream operation per operator (scale, +,
+# -), as the recurrences read. A fused step must do the same float
+# operations in the same order, so the samples are compared as bytes:
+# -0.0 differs from 0.0 and the bits of a NaN count.
+
+def _sine_chain(h):
+    k = 2.0 * math.cos(h)
+    y = cons(math.sin(h), lambda: scale(k, y) - cons(0.0, lambda: y))
+    return y
+
+
+def _euler_chain(h):
+    y = cons(0.0, lambda: w)
+    w = defer(lambda: y + scale(h, u))
+    u = cons(1.0, lambda: u - scale(h, w))
+    return y
+
+
+def _vibrato_chain(h, mod):
+    y = cons(0.0, lambda: w)
+    w = defer(lambda: y + scale(h, zip_with(operator.mul, mod, u)))
+    u = cons(1.0, lambda: u - scale(h, zip_with(operator.mul, mod, w)))
+    return y
+
+
+def _karplus_strong_chain(length, excitation, blend=0.5):
+    y = defer(lambda: prepend(list(excitation),
+                              scale(blend, y + cons(0.0, lambda: y))))
+    return y
+
+
+def _allpass_chain(m, b, x):
+    v = defer(lambda: x - scale(b, d))
+    d = delay(m, v, 0.0)
+    return scale(b, v) + d
+
+
+def _bits(s, n=20_000):
+    return struct.pack("<%dd" % n, *take(n, s))
+
+
+def _wobble(rate=8000):
+    # The CLI's vibrato modulation: 5 Hz, 5 % deep, carried by sine.
+    return lambda: sine(2.0 * math.pi * 5.0 / rate).map(lambda v: 1.0 + 0.05 * v)
+
+
+_RNG = random.Random(2011)
+_CLI_H = 2.0 * math.pi * 440.0 / 8000
+# 2.5 and -2.25 are past Euler's stability bound |h| < 2: those samples
+# overflow to infinities and then to NaN.
+_STEPS = ([0.0, -0.0, -0.3, _CLI_H, 2.5, -2.25]
+          + [_RNG.uniform(-3.2, 3.2) for _ in range(4)])
+_MODS = [_wobble(), _wobble(44100), lambda: noise(5)]
+_STRINGS = [(2, 0.5, 1), (100, 0.5, 42)] + [
+    (_RNG.randrange(2, 300), _RNG.uniform(-1.0, 1.0), _RNG.randrange(1 << 64))
+    for _ in range(3)]
+_SECTIONS = [(1, 0.0), (3, 0.5), (7, -0.9)] + [
+    (_RNG.randrange(1, 60), _RNG.uniform(-0.99, 0.99)) for _ in range(3)]
+
+
+@pytest.mark.parametrize("h", _STEPS)
+def test_sine_and_euler_match_their_operator_chains_bit_for_bit(h):
+    assert _bits(sine(h)) == _bits(_sine_chain(h))
+    assert _bits(euler_osc(h)) == _bits(_euler_chain(h))
+
+
+@pytest.mark.parametrize("mod", _MODS)
+@pytest.mark.parametrize("h", [0.0, -0.05, _CLI_H, 2.5])
+def test_vibrato_matches_its_operator_chain_bit_for_bit(h, mod):
+    assert _bits(vibrato(h, mod())) == _bits(_vibrato_chain(h, mod()))
+
+
+@pytest.mark.parametrize("length, blend, seed", _STRINGS)
+def test_karplus_strong_matches_its_operator_chain_bit_for_bit(length, blend, seed):
+    excitation = take(length, noise(seed))
+    assert (_bits(karplus_strong(length, excitation, blend))
+            == _bits(_karplus_strong_chain(length, excitation, blend)))
+
+
+@pytest.mark.parametrize("m, b", _SECTIONS)
+def test_allpass_matches_its_operator_chain_bit_for_bit(m, b):
+    excitation = take(100, noise(m))
+    for x in (lambda: karplus_strong(100, excitation), lambda: sine(_CLI_H),
+              impulse):
+        assert _bits(allpass(m, b, x())) == _bits(_allpass_chain(m, b, x()))
 
 
 class _Tracked(Stream):
