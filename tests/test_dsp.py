@@ -294,9 +294,8 @@ def _vibrato_chain(h, mod):
     return y
 
 
-def _karplus_strong_chain(length, excitation, blend=0.5):
-    y = defer(lambda: prepend(list(excitation),
-                              scale(blend, y + cons(0.0, lambda: y))))
+def _karplus_strong_chain(excitation, blend):
+    y = defer(lambda: prepend(excitation, scale(blend, y + cons(0.0, lambda: y))))
     return y
 
 
@@ -345,7 +344,7 @@ def test_vibrato_matches_its_operator_chain_bit_for_bit(h, mod):
 def test_karplus_strong_matches_its_operator_chain_bit_for_bit(length, blend, seed):
     excitation = take(length, noise(seed))
     assert (_bits(karplus_strong(length, excitation, blend))
-            == _bits(_karplus_strong_chain(length, excitation, blend)))
+            == _bits(_karplus_strong_chain(excitation, blend)))
 
 
 @pytest.mark.parametrize("m, b", _SECTIONS)
