@@ -15,7 +15,9 @@ them), forces both:
 - a *pointwise node* (:func:`pointwise`) holds ``(op, a, b)`` and a tail
   rule or None. Its head is ``op(a.head, b.head)``. Its tail is the plain
   successor, the pointwise node ``(op, a.tail, b.tail)`` with no rule,
-  which the machine builds itself without a call; a node with a rule has
+  which the machine builds itself: inline, without a call, when the head
+  is forced after the operands' tails (as in a recurrence), and with
+  :func:`pointwise` when ``.tail`` comes first; a node with a rule has
   ``rule(op, a.tail, b.tail)`` instead. A unary node holds ``(op, a,
   None)``, so the machine unpacks it without a length test. Elementwise
   operations (``map``, ``zip_with``, ``+``, ``-``, negation, ``scale``)
@@ -23,10 +25,10 @@ them), forces both:
   where an algebra has a short-cut: a series plus ``ZERO`` is the series,
   and a series plus ``x^k p`` passes the series through for the k zeros
   of the shift, which are never built. A stream has none, so its nodes
-  carry no rule and its successors cost no Python call. A rule only
-  builds nodes and never forces, so when a head is forced while the
-  operands' tails already are, the successor is built at once; a rule
-  that raises there is run again, and raises, at ``.tail``. Once both
+  carry no rule and a recurrence's successors cost no Python call. A
+  rule only builds nodes and never forces, so when a head is forced while
+  the operands' tails already are, the successor is built at once; a
+  rule that raises there is run again, and raises, at ``.tail``. Once both
   cells are forced the node drops its operands, so a forced prefix pins
   no operand nodes. Forcing an operand is a plain Python call, which
   CPython 3.11 runs without C stack, so a pointwise chain is limited only
@@ -73,6 +75,11 @@ one all-zero tail and override ``_define``, so that a function of a
 constant stays compact. Outside this module, only the self-tails of
 ``ZERO`` and ``ZERO_TOWER`` write a slot.
 
+``take``, ``at`` and iteration read through one walker: ``n`` elements
+force ``n`` heads and ``n - 1`` tails, never a cell past the last element
+returned. The only read-ahead is the successor built when a pointwise
+node's head is forced, which allocates a node and forces nothing.
+
 Forcing a cell nests one Python frame or more per level of the cells it
 demands, and every consumer (``.head``, ``.tail``, ``take``, ``at``,
 iteration) forces under the caller's recursion limit. This module never
@@ -90,6 +97,7 @@ logical thread at a time. Fully forced prefixes may be read concurrently.
 from __future__ import annotations
 
 from functools import partial
+from itertools import islice
 from operator import index
 
 _UNFORCED = 0
@@ -131,7 +139,10 @@ def _head(node):
         if state == _UNFORCED and a._ts == _FORCED and (b is None or b._ts == _FORCED):
             # The successor's operands are at hand: build it now, here when
             # there is no rule. A rule that raises is left for the tail to
-            # run again.
+            # run again. This is pointwise() inline, not a call to it:
+            # nearly every successor of a stream recurrence (each dsp
+            # sample) is built here, and .tail builds the few others
+            # through pointwise().
             rule = node._t
             if rule is None:
                 rest = object.__new__(type(node))
@@ -171,11 +182,7 @@ def _tail(node):
                 b = b._t if b._ts == _FORCED else _tail(b)
             rule = node._t
             if rule is None:
-                rest = object.__new__(type(node))
-                rest._hs = _UNFORCED
-                rest._ts = _UNFORCED
-                rest._t = None
-                rest._ops = (op, a, b)
+                rest = pointwise(type(node), None, op, a, b)
             elif b is None:
                 rest = rule(op, a)
             else:
@@ -259,23 +266,24 @@ class LazyPair:
     def take(self, n):
         """Force and return the first ``n`` elements as a list.
 
-        Like ``.head`` and iteration, it forces under the caller's recursion
-        limit; a definition nested deeper raises ``RecursionError``.
+        It reads as iteration does, through the same walker: ``n`` heads
+        and ``n - 1`` tails, so no cell past element ``n - 1`` and, for
+        ``n = 0``, none at all. Like ``.head``, it forces under the
+        caller's recursion limit; a definition nested deeper raises
+        ``RecursionError``.
         """
+        n = index(n)
         if n < 0:
             raise ValueError("take: n must be >= 0")
-        out = []
-        node = self
-        for _ in range(n):
-            out.append(node._h if node._hs == _FORCED else _head(node))
-            node = node._t if node._ts == _FORCED else _tail(node)
-        return out
+        return list(islice(_elements(self), n))
 
     def at(self, k):
-        """Force and return element ``k`` (elements 0..k-1 are forced too)."""
+        """Force and return element ``k``: ``k + 1`` heads and ``k`` tails,
+        read through the walker of :meth:`take`, with no list built."""
+        k = index(k)
         if k < 0:
             raise ValueError("at: index must be >= 0")
-        return self.take(k + 1)[-1]
+        return next(islice(_elements(self), k, None))
 
     def __iter__(self):
         # The generator holds only the node it has reached, so iterating
@@ -319,6 +327,8 @@ def delayed_run(node, fill):
 
 
 def _elements(node):
+    # The one walker of take, at and iteration. A tail is forced only when
+    # the next element is asked for, so n elements force n - 1 tails.
     while True:
         yield node._h if node._hs == _FORCED else _head(node)
         node = node._t if node._ts == _FORCED else _tail(node)

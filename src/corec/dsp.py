@@ -35,6 +35,12 @@ __all__ = [
 ]
 
 
+def _finite_step(name: str, h: float) -> None:
+    # A NaN or infinite step is refused at the call, by the generator's name.
+    if not math.isfinite(h):
+        raise ValueError("%s: h must be finite, not %r" % (name, h))
+
+
 def sine(h: float) -> Stream:
     """Sinusoid from the two-tap recurrence; sample n is sin((n+1)*h).
 
@@ -42,8 +48,7 @@ def sine(h: float) -> Stream:
     prefix: the step is one ``zip_with`` of the stream and the stream one
     tap delayed. A NaN or infinite ``h`` raises ``ValueError``.
     """
-    if not math.isfinite(h):
-        raise ValueError("sine: h must be finite, not %r" % h)
+    _finite_step("sine", h)
     k = 2.0 * math.cos(h)
 
     def step(y1, y0):
@@ -58,8 +63,11 @@ def euler_osc(h: float) -> Stream:
 
     y_{n+1} = y_n + h v_n and v_{n+1} = v_n - h y_{n+1}; the scheme is
     stable for small h and the step controls the output frequency. Each
-    update is one ``zip_with`` of the two streams.
+    update is one ``zip_with`` of the two streams. A NaN or infinite ``h``
+    raises ``ValueError``.
     """
+    _finite_step("euler_osc", h)
+
     def ahead(a, b):
         return a + h * b
 
@@ -78,8 +86,10 @@ def vibrato(h: float, mod: Stream) -> Stream:
     A slowly varying ``mod`` near 1 wobbles the instantaneous frequency;
     the constant stream 1 reproduces :func:`euler_osc` exactly. Each
     coupling ``h * (mod * v)`` is one ``zip_with``, added to ``y`` or
-    subtracted from ``u``.
+    subtracted from ``u``. A NaN or infinite ``h`` raises ``ValueError``.
     """
+    _finite_step("vibrato", h)
+
     def coupling(m, b):
         return h * (m * b)
 

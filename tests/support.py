@@ -1,0 +1,46 @@
+"""Helpers shared by the test modules, imported as ``support``.
+
+Running Python on this checkout's sources in a new interpreter, and the
+partition-number oracle, which uses nothing from corec.
+"""
+
+import os
+import subprocess
+import sys
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def python_env():
+    """A copy of ``os.environ`` with this checkout's ``src`` first on
+    ``PYTHONPATH``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_python(*args):
+    """Run ``python *args`` with :func:`python_env`; the finished process,
+    its output captured as text. A nonzero exit is returned, not raised."""
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=python_env(), timeout=60, check=False)
+
+
+def pentagonal_partitions(limit):
+    """p(0..limit) by Euler's pentagonal-number recurrence
+    p(n) = sum over k >= 1 of (-1)^(k+1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2)),
+    independent of the generating-function path."""
+    p = [1]
+    for n in range(1, limit + 1):
+        total, k = 0, 1
+        while True:
+            g1 = n - k * (3 * k - 1) // 2
+            g2 = n - k * (3 * k + 1) // 2
+            if g1 < 0 and g2 < 0:
+                break
+            sign = -1 if k % 2 == 0 else 1
+            total += sign * ((p[g1] if g1 >= 0 else 0)
+                             + (p[g2] if g2 >= 0 else 0))
+            k += 1
+        p.append(total)
+    return p

@@ -23,6 +23,8 @@ from corec.series import Series
 from corec.stream import NonProductiveError, Stream, cons, defer, repeat, take
 from corec.wkb import airy_s0_prime, wkb_expand
 
+from support import pentagonal_partitions
+
 
 def _report(number, text, started):
     print("ACCEPTANCE %2d PASS: %s (%.2f s)" % (number, text,
@@ -31,29 +33,12 @@ def _report(number, text, started):
 
 # -- 1: partition numbers ----------------------------------------------------
 
-def pentagonal_oracle(limit):
-    p = [1]
-    for n in range(1, limit + 1):
-        total, k = 0, 1
-        while True:
-            g1 = n - k * (3 * k - 1) // 2
-            g2 = n - k * (3 * k + 1) // 2
-            if g1 < 0 and g2 < 0:
-                break
-            sign = -1 if k % 2 == 0 else 1
-            total += sign * ((p[g1] if g1 >= 0 else 0)
-                             + (p[g2] if g2 >= 0 else 0))
-            k += 1
-        p.append(total)
-    return p
-
-
 def test_criterion_01_partitions():
     started = time.perf_counter()
     series = partitions()
     assert series.coefficients(17) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42,
                                        56, 77, 101, 135, 176, 231]
-    oracle = pentagonal_oracle(100)
+    oracle = pentagonal_partitions(100)
     assert oracle[100] == 190569292
     assert partitions().at(100) == oracle[100]
     _report(1, "partition numbers exact, p(100) matches pentagonal oracle",

@@ -9,34 +9,14 @@ from corec.catalog import (
     partitions,
 )
 
+from support import pentagonal_partitions
+
 FIRST_17_PARTITIONS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101,
                        135, 176, 231]
 
 BESSEL_HEAD = [Fraction(1), Fraction(-1, 4), Fraction(1, 32),
                Fraction(-3, 128), Fraction(75, 2048), Fraction(-735, 8192),
                Fraction(19845, 65536)]
-
-
-def pentagonal_partition_oracle(limit):
-    """p(0..limit) by the pentagonal-number recurrence; independent of the
-    generating-function path."""
-    p = [1]
-    for n in range(1, limit + 1):
-        total = 0
-        k = 1
-        while True:
-            g1 = n - k * (3 * k - 1) // 2
-            g2 = n - k * (3 * k + 1) // 2
-            if g1 < 0 and g2 < 0:
-                break
-            sign = -1 if k % 2 == 0 else 1
-            if g1 >= 0:
-                total += sign * p[g1]
-            if g2 >= 0:
-                total += sign * p[g2]
-            k += 1
-        p.append(total)
-    return p
 
 
 def test_partition_prefix():
@@ -48,13 +28,13 @@ def test_partition_of_zero():
 
 
 def test_partition_100_matches_oracle():
-    oracle = pentagonal_partition_oracle(100)
+    oracle = pentagonal_partitions(100)
     assert oracle[100] == 190569292
     assert partitions().at(100) == 190569292
 
 
 def test_partitions_match_oracle_to_200():
-    oracle = pentagonal_partition_oracle(200)
+    oracle = pentagonal_partitions(200)
     assert partitions().coefficients(201) == oracle
 
 

@@ -1,7 +1,6 @@
 """Pointwise nodes, deferred nodes and the non-productivity message."""
 
 import os
-import subprocess
 import sys
 import weakref
 from operator import add
@@ -12,6 +11,8 @@ from corec.cells import NonProductiveError
 from corec.dif import Dif, ZERO_TOWER
 from corec.series import Series, ZERO
 from corec.stream import Stream, defer, repeat, zip_with
+
+from support import run_python
 
 
 class _Tracked(Stream):
@@ -33,14 +34,6 @@ def _where(marker):
             if line.rstrip().endswith("# " + marker):
                 return "%s:%d" % (_FILE, number)
     raise AssertionError(marker)
-
-
-def _run_script(script):
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
-                          capture_output=True, text=True, check=False)
 
 
 def _non_productive_message(node):
@@ -113,7 +106,7 @@ def test_deep_pointwise_chains_force_their_head_without_a_crash():
         "    u = -u\n"
         "print(s.head, u.head)\n"
     )
-    proc = _run_script(script)
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1.0", "1"]
 
@@ -146,7 +139,7 @@ def test_a_long_take_of_a_deep_thunk_chain_raises_without_a_signal():
         "    p = Stream(lambda p=p: p.head + 1, lambda p=p: p)\n"
         "p.take(4000)\n"
     )
-    proc = _run_script(script)
+    proc = run_python("-c", script)
     assert proc.returncode == 1, (proc.returncode, proc.stderr[-500:])
     assert "RecursionError" in proc.stderr
 
@@ -256,3 +249,60 @@ def test_failed_forcing_can_be_retried():
         m.head
     assert m.head == 6
     assert m.take(2) == [6, 6]
+
+
+# -- reading: n elements force n heads and n - 1 tails ------------------------
+
+def _counted_chain(forced, k=0):
+    # A thunk node per element whose thunks record what they force.
+    def head():
+        forced.append(("head", k))
+        return k
+
+    def tail():
+        forced.append(("tail", k))
+        return _counted_chain(forced, k + 1)
+
+    return Stream(head, tail)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_take_forces_n_heads_and_n_minus_1_tails(n):
+    forced = []
+    assert _counted_chain(forced).take(n) == list(range(n))
+    assert sorted(forced) == sorted([("head", k) for k in range(n)]
+                                    + [("tail", k) for k in range(n - 1)])
+
+
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_at_forces_k_plus_1_heads_and_k_tails(k):
+    forced = []
+    assert _counted_chain(forced).at(k) == k
+    assert sorted(forced) == sorted([("head", j) for j in range(k + 1)]
+                                    + [("tail", j) for j in range(k)])
+
+
+def test_reading_stops_at_the_last_element_returned():
+    s = Stream.cons(1, lambda: 1 // 0)
+    assert s.take(1) == [1]
+    assert s.at(0) == 1
+    assert Series.cons(1, lambda: 1 // 0).coefficients(1) == [1]
+    # A pointwise node reads no operand tail that is not yet forced.
+    assert zip_with(add, s, s).take(1) == [2]
+    with pytest.raises(ZeroDivisionError):
+        s.take(2)
+
+
+def test_a_non_productive_tail_is_met_only_when_read():
+    s = Stream.cons(1, lambda: s.tail)
+    assert s.take(1) == [1]
+    with pytest.raises(NonProductiveError):
+        s.take(2)
+
+
+def test_take_and_at_refuse_an_index_that_is_not_an_int():
+    s = repeat(1)
+    with pytest.raises(TypeError):
+        s.take(2.5)
+    with pytest.raises(TypeError):
+        s.at(1.5)

@@ -1,7 +1,6 @@
 import hashlib
 import io
 import math
-import os
 import struct
 import subprocess
 import sys
@@ -11,6 +10,8 @@ import pytest
 
 from corec import catalog, cli
 from corec.cli import main
+
+from support import pentagonal_partitions, python_env, run_python
 
 
 def run(capsys, *argv):
@@ -274,20 +275,8 @@ def test_depth_and_memory_errors_exit_2(monkeypatch, capsys, exc):
     assert capsys.readouterr().err == "error: %s\n" % exc
 
 
-def _env():
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
-
-
-def _run_python(*args):
-    return subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, env=_env(), timeout=60)
-
-
 def _run_module(*argv):
-    return _run_python("-m", "corec", *argv)
+    return run_python("-m", "corec", *argv)
 
 
 def test_lambertw_stops_before_an_infinite_element():
@@ -310,11 +299,7 @@ def test_wkb_infinite_value_exits_2(capsys):
 
 def test_lambertw_past_float_binomials_exits_2():
     # Past n = 1030 the Leibniz weights comb(n, k) no longer fit in a float.
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "corec", "lambertw", "--n", "1100"],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = _run_module("lambertw", "--n", "1100")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
 
@@ -341,24 +326,10 @@ def test_arguments_keep_the_int_digit_limit():
     assert "invalid int value" in proc.stderr
 
 
-def _partitions(n):
-    # Euler's pentagonal recurrence, independent of the library.
-    p = [1] + [0] * (n - 1)
-    for m in range(1, n):
-        k = 1
-        while k * (3 * k - 1) // 2 <= m:
-            sign = 1 if k % 2 else -1
-            p[m] += sign * p[m - k * (3 * k - 1) // 2]
-            if k * (3 * k + 1) // 2 <= m:
-                p[m] += sign * p[m - k * (3 * k + 1) // 2]
-            k += 1
-    return p
-
-
 def test_partitions_past_the_default_recursion_limit():
     proc = _run_module("series", "partitions", "--n", "1100")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [str(v) for v in _partitions(1100)]
+    assert proc.stdout.split() == [str(v) for v in pentagonal_partitions(1099)]
 
 
 @pytest.mark.parametrize("depth, code", [(30_000, 0), (50_000, 2)])
@@ -377,7 +348,7 @@ def test_a_deep_thunk_chain_gives_a_value_or_exit_2(depth, code):
         "cli._RUNNERS['series'] = runner\n"
         "raise SystemExit(cli.main(['series', 'fibs']))\n" % depth
     )
-    proc = _run_python("-c", script)
+    proc = run_python("-c", script)
     assert proc.returncode == code, (proc.returncode, proc.stderr[-500:])
     if code == 0:
         assert proc.stdout == "[%d, %d, %d]\n" % (depth, depth - 1, depth - 2)
@@ -457,6 +428,19 @@ def test_audio_nan_and_infinity_exit_2(tmp_path, capsys, argv, message):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("kind, name", [("euler", "euler_osc"), ("vibrato", "vibrato")])
+@pytest.mark.parametrize("freq", ["nan", "inf", "-inf"])
+def test_euler_and_vibrato_refuse_a_step_that_is_not_finite(tmp_path, capsys, kind,
+                                                            name, freq):
+    # The generator refuses the step h = 2 pi freq / rate by its own name,
+    # before the writer could meet a NaN sample.
+    code, out, err = run(capsys, "audio", kind, "--out", str(tmp_path / "x.wav"),
+                         "--rate", "8000", "--freq=" + freq)
+    assert (code, out, err) == (2, "", "error: %s: h must be finite, not %s\n"
+                                % (name, freq))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_every_audio_kind_renders_under_a_recursion_limit_of_20(tmp_path):
     # Each kind as the CLI builds it, 2 s at 8 kHz, forced under a limit
     # of 20 instead of the CLI worker's.
@@ -471,7 +455,7 @@ def test_every_audio_kind_renders_under_a_recursion_limit_of_20(tmp_path):
         "for kind, stream in zip(kinds, streams):\n"
         "    write_wav('%s/%s.wav' % (sys.argv[1], kind), 8000, stream, 2.0)\n"
     )
-    proc = _run_python("-c", script, str(tmp_path))
+    proc = run_python("-c", script, str(tmp_path))
     assert (proc.returncode, proc.stderr) == (0, "")
     assert sorted(p.stat().st_size for p in tmp_path.iterdir()) == [44 + 32000] * 5
 
@@ -491,7 +475,7 @@ def test_a_reader_that_stops_early_is_not_an_error():
     # larger than a pipe holds, so the writer meets the closed pipe.
     proc = subprocess.Popen([sys.executable, "-m", "corec", "series", "fibs",
                              "--n", "3000"], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env=_env())
+                            stderr=subprocess.PIPE, env=python_env())
     try:
         lines = [proc.stdout.readline(), proc.stdout.readline()]
         proc.stdout.close()

@@ -2,10 +2,8 @@ import cmath
 import hashlib
 import math
 import operator
-import os
 import random
 import struct
-import subprocess
 import sys
 import weakref
 
@@ -32,6 +30,8 @@ from corec.stream import (
     take,
     zip_with,
 )
+
+from support import run_python
 
 
 def impulse():
@@ -60,6 +60,16 @@ def test_sine_zero_step():
 def test_sine_refuses_a_step_that_is_not_finite(h):
     with pytest.raises(ValueError, match="^sine: h must be finite, not %r$" % h):
         sine(h)
+
+
+@pytest.mark.parametrize("h", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name, make", [
+    ("euler_osc", euler_osc),
+    ("vibrato", lambda h: vibrato(h, repeat(1.0))),
+])
+def test_euler_and_vibrato_refuse_a_step_that_is_not_finite(name, make, h):
+    with pytest.raises(ValueError, match="^%s: h must be finite, not %r$" % (name, h)):
+        make(h)
 
 
 @pytest.mark.parametrize("h", [0.001, 0.01, 0.1])
@@ -424,11 +434,7 @@ def test_wav_of_a_too_deep_stream_raises_recursion_error(tmp_path):
         "write_wav(sys.argv[1], 1000, q, 4.0)\n"
     )
     target = tmp_path / "deep.wav"
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script, str(target)], env=env,
-                          timeout=60, capture_output=True, text=True, check=False)
+    proc = run_python("-c", script, str(target))
     assert proc.returncode == 1, (proc.returncode, proc.stderr[-500:])
     assert "RecursionError" in proc.stderr
     assert list(tmp_path.iterdir()) == []

@@ -4,26 +4,18 @@ Each check of ``sys.modules`` runs in a fresh interpreter, since this test
 session has already imported every module.
 """
 
-import os
-import subprocess
-import sys
-
 import pytest
 
 import corec
 from corec import cli
 from corec.catalog import CATALOG
 
-_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-
+from support import run_python
 
 def _loaded_after(code):
     """The names in sys.modules after running ``code`` in a new interpreter."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     script = code + "\nimport sys\nsys.stderr.write('\\n'.join(sorted(sys.modules)))\n"
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, timeout=60)
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return set(proc.stderr.split("\n"))
 

@@ -362,7 +362,7 @@ def test_shift_builds_its_zeros_when_read():
     shifted = u.shift(3)
     assert repr(shifted) == "<Series [0...]>"
     assert shifted.coefficients(2) == [0, 0]
-    assert repr(shifted) == "<Series [0, 0, 0...]>"
+    assert repr(shifted) == "<Series [0, 0...]>"
     assert Series.from_list([1]).shift(10**9).take(3) == [0, 0, 0]
     with pytest.raises(TypeError):
         u.shift(2.5)
