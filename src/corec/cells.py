@@ -13,34 +13,45 @@ them), forces both:
 
 - a *thunk node* holds a zero-argument thunk for each cell;
 - a *pointwise node* (:func:`pointwise`) holds ``(op, a, b)`` and a tail
-  rule or None. Its head is ``op(a.head, b.head)``. Its tail is the plain
-  successor, the pointwise node ``(op, a.tail, b.tail)`` with no rule,
-  which the machine builds itself: inline, without a call, when the head
-  is forced after the operands' tails (as in a recurrence), and with
-  :func:`pointwise` when ``.tail`` comes first; a node with a rule has
-  ``rule(op, a.tail, b.tail)`` instead. A unary node holds ``(op, a,
-  None)``, so the machine unpacks it without a length test. Elementwise
-  operations (``map``, ``zip_with``, ``+``, ``-``, negation, ``scale``)
-  thus allocate one node per element and no closures. A rule exists only
-  where an algebra has a short-cut: a series plus ``ZERO`` is the series,
-  and a series plus ``x^k p`` passes the series through for the k zeros
-  of the shift, which are never built. A stream has none, so its nodes
-  carry no rule and a recurrence's successors cost no Python call. A
-  rule only builds nodes and never forces, so when a head is forced while
-  the operands' tails already are, the successor is built at once; a
-  rule that raises there is run again, and raises, at ``.tail``. Once both
-  cells are forced the node drops its operands, so a forced prefix pins
-  no operand nodes. Forcing an operand is a plain Python call, which
-  CPython 3.11 runs without C stack, so a pointwise chain is limited only
-  by the recursion limit; thunks and ``defer`` still reach through the
-  properties and use C stack per level.
+  rule or None. Its head is ``op(a.head, b.head)``. Its tail is the
+  successor, the pointwise node ``(op, a.tail, b.tail)`` with the same
+  rule, which the machine builds itself: inline, without a call, when the
+  head is forced after the operands' tails (as in a recurrence), and with
+  :func:`pointwise` when ``.tail`` comes first. A unary node holds ``(op,
+  a, None)``, so the machine unpacks it without a length test.
+  Elementwise operations (``map``, ``zip_with``, ``+``, ``-``, negation,
+  ``scale``) thus allocate one node per element and no closures.
+
+A tail rule is the end handler of an algebra, and nothing more. The
+machine calls ``rule(op, a.tail, b.tail)`` instead of building the
+successor only where an operand tail is not exactly of the node's class:
+a compact form (``ZERO``, a ``_Const`` tower) or a node of another
+algebra. There a series plus ``ZERO`` is the series, a tower plus a
+constant's ``ZERO_TOWER`` tail is the tower, a map of a constant is a
+constant, and a series plus ``x^k p`` passes the series through for the k
+zeros of the shift, which are never built (its right operand is ``ZERO``,
+so that rule runs at every node). Every rule keeps one invariant, on which
+this short-cut rests: given operand tails of exactly the node's class, it
+returns ``pointwise(cls, rule, op, a.tail, b.tail)``, the node the
+machine builds. A stream has no rule, so a recurrence's successors cost no
+Python call, and neither do those of a tower recurrence or of a sum of
+series that never end. A rule only builds nodes and never forces, so when
+a head is forced while the operands' tails already are, the successor is
+built at once; a rule that raises there is run again, and raises, at
+``.tail``. Once both cells are forced the node drops its operands, so a
+forced prefix pins no operand nodes. Forcing an operand is a plain Python
+call, which CPython 3.11 runs without C stack, so a pointwise chain is
+limited only by the recursion limit; thunks and ``defer`` still reach
+through the properties and use C stack per level.
 
 Products, quotients, integrals and derivatives of series and towers are
 pointwise nodes over a series of indices (``series._indices``): element n
-is ``element(n)``, and the result ends where the indices end. Where a
-polynomial product ends is known only by walking operand tails, and a
-rule must not force, so that question (``done``) is asked in the thunk of
-the index node's tail, which runs only when the result's tail is forced.
+is ``element(n)``, and the result ends where the indices end. The index
+nodes have the class of the result, so the machine builds its successors.
+Where a polynomial product ends is known only by walking operand tails,
+and a rule must not force, so that question (``done``) is asked in the
+thunk of the index node's tail, which runs only when the result's tail is
+forced.
 The library's thunk nodes are the user-level definitions of the catalog,
 ``dsp`` and ``qft``, ``defer`` and ``delayed``, and a few that build one
 node per level or row rather than per element, or whose end needs a rule
@@ -99,6 +110,7 @@ from __future__ import annotations
 from functools import partial
 from itertools import islice
 from operator import index
+from sys import maxsize
 
 _UNFORCED = 0
 _FORCING = 1
@@ -134,32 +146,48 @@ def _head(node):
         raise
     node._h = value
     node._hs = _FORCED
-    if ops is not None:
-        state = node._ts
-        if state == _UNFORCED and a._ts == _FORCED and (b is None or b._ts == _FORCED):
-            # The successor's operands are at hand: build it now, here when
-            # there is no rule. A rule that raises is left for the tail to
-            # run again. This is pointwise() inline, not a call to it:
-            # nearly every successor of a stream recurrence (each dsp
-            # sample) is built here, and .tail builds the few others
-            # through pointwise().
-            rule = node._t
-            if rule is None:
-                rest = object.__new__(type(node))
-                rest._hs = _UNFORCED
-                rest._ts = _UNFORCED
-                rest._t = None
-                rest._ops = (op, a._t, None if b is None else b._t)
-                node._t = rest
-            else:
-                try:
-                    node._t = rule(op, a._t) if b is None else rule(op, a._t, b._t)
-                except Exception:
-                    return value
-            node._ts = _FORCED
+    if ops is None:
+        return value
+    state = node._ts
+    if state != _UNFORCED or a._ts != _FORCED or b is not None and b._ts != _FORCED:
+        if state == _FORCED:
             node._ops = None
-        elif state == _FORCED:
-            node._ops = None
+        return value
+    # The successor's operands are at hand: build it now, with no call
+    # where there is no rule or no operand ends. A rule that raises is left
+    # for the tail to run again. This is pointwise() inline, not a call to
+    # it: nearly every successor of a stream or tower recurrence (each dsp
+    # sample) is built here, and .tail builds the few others through
+    # pointwise(). The rule-less branch comes first so that a stream pays
+    # no class test, and the early returns keep every jump of its path
+    # short (no EXTENDED_ARG prefix in CPython 3.11).
+    rule = node._t
+    if rule is None:
+        rest = object.__new__(type(node))
+        rest._hs = _UNFORCED
+        rest._ts = _UNFORCED
+        rest._t = None
+        rest._ops = (op, a._t, None if b is None else b._t)
+        node._t = rest
+    else:
+        a, cls = a._t, type(node)
+        if b is not None:
+            b = b._t
+        if type(a) is cls and (b is None or type(b) is cls):
+            # No operand ends here: this is the node the rule builds.
+            rest = object.__new__(cls)
+            rest._hs = _UNFORCED
+            rest._ts = _UNFORCED
+            rest._t = rule
+            rest._ops = (op, a, b)
+            node._t = rest
+        else:
+            try:
+                node._t = rule(op, a) if b is None else rule(op, a, b)
+            except Exception:
+                return value
+    node._ts = _FORCED
+    node._ops = None
     return value
 
 
@@ -180,9 +208,9 @@ def _tail(node):
             a = a._t if a._ts == _FORCED else _tail(a)
             if b is not None:
                 b = b._t if b._ts == _FORCED else _tail(b)
-            rule = node._t
-            if rule is None:
-                rest = pointwise(type(node), None, op, a, b)
+            rule, cls = node._t, type(node)
+            if rule is None or type(a) is cls and (b is None or type(b) is cls):
+                rest = pointwise(cls, rule, op, a, b)
             elif b is None:
                 rest = rule(op, a)
             else:
@@ -198,11 +226,13 @@ def _tail(node):
 
 
 def pointwise(cls, rule, op, a, b=None):
-    """A ``cls`` node whose head is ``op(a.head)`` and whose tail is
-    ``rule(op, a.tail)``; with ``b`` they are ``op(a.head, b.head)`` and
-    ``rule(op, a.tail, b.tail)``. With ``rule`` None the tail is the same
-    node over the operands' tails, built by the forcing machine; give a
-    rule only where the algebra has a short-cut to take."""
+    """A ``cls`` node whose head is ``op(a.head)``, or ``op(a.head,
+    b.head)`` with ``b``. Its tail is the same node over the operands'
+    tails, built by the forcing machine, except where an operand tail is
+    not exactly of class ``cls``: there it is ``rule(op, a.tail)``, or
+    ``rule(op, a.tail, b.tail)``. The rule is the end handler, given only
+    where the algebra has a short-cut to take; given tails of class
+    ``cls``, it must return ``pointwise(cls, rule, op, a.tail, b.tail)``."""
     node = cls.__new__(cls)
     node._hs = _UNFORCED
     node._ts = _UNFORCED
@@ -270,19 +300,24 @@ class LazyPair:
         and ``n - 1`` tails, so no cell past element ``n - 1`` and, for
         ``n = 0``, none at all. Like ``.head``, it forces under the
         caller's recursion limit; a definition nested deeper raises
-        ``RecursionError``.
+        ``RecursionError``. ``n`` past ``sys.maxsize`` raises ``ValueError``.
         """
         n = index(n)
         if n < 0:
             raise ValueError("take: n must be >= 0")
+        if n > maxsize:
+            raise ValueError("take: n must be at most sys.maxsize")
         return list(islice(_elements(self), n))
 
     def at(self, k):
         """Force and return element ``k``: ``k + 1`` heads and ``k`` tails,
-        read through the walker of :meth:`take`, with no list built."""
+        read through the walker of :meth:`take`, with no list built. ``k``
+        past ``sys.maxsize`` raises ``ValueError``."""
         k = index(k)
         if k < 0:
             raise ValueError("at: index must be >= 0")
+        if k > maxsize:
+            raise ValueError("at: index must be at most sys.maxsize")
         return next(islice(_elements(self), k, None))
 
     def __iter__(self):

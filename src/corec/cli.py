@@ -130,9 +130,16 @@ def _write(columns, names=None) -> None:
         print("%d,%s" % (k, text) if names else text)
 
 
+def _at_most(value, name, most=sys.maxsize) -> None:
+    """Refuse a count past what a read can take, naming the option."""
+    if value > most:
+        raise ValueError("%s must be at most %d" % (name, most))
+
+
 def _run_series(args) -> None:
     if args.n < 0:
         raise ValueError("series: --n must be >= 0")
+    _at_most(args.n, "series: --n")
     from itertools import islice
 
     from .catalog import CATALOG
@@ -145,12 +152,15 @@ def _run_series(args) -> None:
 def _run_lambertw(args) -> None:
     if args.n < 0:
         raise ValueError("lambertw: --n must be >= 0")
+    _at_most(args.n, "lambertw: --n")
     from .dif import lambert_w_tower
 
     _write([_finite(lambert_w_tower().elements(args.n))])
 
 
 def _run_qft(args) -> None:
+    # It prints order + 1 values.
+    _at_most(args.order, "qft: --order", sys.maxsize - 1)
     from .qft import greens
 
     series = greens(args.g, args.order)
@@ -158,6 +168,7 @@ def _run_qft(args) -> None:
 
 
 def _run_wkb(args) -> None:
+    _at_most(args.orders, "wkb: --orders")
     from .wkb import airy_s0_prime, wkb_expand
 
     result = wkb_expand(airy_s0_prime(args.x0), args.orders)

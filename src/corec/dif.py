@@ -13,7 +13,8 @@ operations work elementwise. A product computes its element n from the
 memoized prefixes of its operands by the Leibniz sum
 ``sum_k comb(n, k) a_k b_(n-k)``, and a quotient solves that sum for its
 own element n; either is a pointwise node that maps that element function
-over the series of indices 0, 1, 2, ...
+over the indices 0, 1, 2, ..., themselves Dif nodes, so that the forcing
+machine builds each successor without calling its rule.
 The elementary functions (exp, log, sqrt, pow, sin, cos, atan, asin,
 recip) are inherited from :class:`corec.series.Analytic`, which defines
 each once for series and towers as a co-recursion over products and
@@ -130,7 +131,7 @@ class Dif(Analytic):
             return dot(pa.upto(n)[:n + 1], pb.upto(n)[n::-1],
                        weights=_binomials(n), start=0)
 
-        return _map(element, _indices(0))
+        return _map(element, _indices(0, cls=Dif))
 
     __rmul__ = __mul__
 
@@ -164,7 +165,7 @@ class Dif(Analytic):
                        weights=_binomials(n)[1:], start=0)
             return divide(pa.upto(n)[n] - rest, y[0])
 
-        w = _map(element, _indices(0))
+        w = _map(element, _indices(0, cls=Dif))
         pq = _Prefix(w)
         return w
 
@@ -197,6 +198,11 @@ def _zero_tower():
 
 _NUMBER_TYPES = (int, float, complex)
 
+
+# _map and _zip are also tail rules. The forcing machine calls one only
+# where an operand tail is a compact constant or not a Dif node; given Dif
+# tails, a rule must return pointwise(Dif, rule, op, *tails), the node that
+# the machine builds in its place.
 
 def _map(op, a):
     # Elementwise op; it maps a compact constant to a compact constant.
@@ -264,7 +270,7 @@ def _lowered(a, pa, k):
             v = divide(v, j)
         return v
 
-    return _map(element, _indices(0))
+    return _map(element, _indices(0, cls=Dif))
 
 
 # -- showcase towers ------------------------------------------------------

@@ -452,20 +452,30 @@ class _Prefix:
         return end if end is not None and end <= limit else None
 
 
-def _indices(n, done=None):
-    # The series n, n + 1, ...; each tail builds the next node when read,
-    # and is ZERO after the first m for which done(m) is true. done walks
-    # operand tails, so it runs only here, when a result's tail is forced.
+def _indices(n, done=None, cls=Series):
+    # The cls nodes n, n + 1, ...; each tail builds the next node when read.
+    # A map of class cls over them has its successors built by the forcing
+    # machine, without a call to its rule. With done, they are Series nodes
+    # and end in ZERO after the first m for which done(m) is true.
+    if done is None:
+        return cls.cons(n, partial(_indices, n + 1, None, cls))
     return Series.cons(n, partial(_next_index, n, done))
 
 
 def _next_index(n, done):
-    if done is not None and done(n):
+    # done walks operand tails, so it runs only here, when a result's tail
+    # is forced.
+    if done(n):
         return ZERO
-    return _indices(n + 1, done)
+    return Series.cons(n + 1, partial(_next_index, n + 1, done))
 
 
 # -- lazy helpers (forcing only happens inside thunks) -------------------
+#
+# _map, _zip, _passing and _along are also tail rules. The forcing machine
+# calls one only where an operand tail is ZERO or not a Series node; given
+# Series tails, a rule must return pointwise(Series, rule, op, *tails), the
+# node that the machine builds in its place.
 
 def _map(f, u):
     # f is assumed to fix zero, so the compact zero tail maps to itself;

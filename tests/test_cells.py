@@ -1,14 +1,18 @@
 """Pointwise nodes, deferred nodes and the non-productivity message."""
 
+import cmath
 import os
 import sys
 import weakref
-from operator import add
+from fractions import Fraction
+from math import factorial
+from operator import add, sub
 
 import pytest
 
-from corec.cells import NonProductiveError
-from corec.dif import Dif, ZERO_TOWER
+from corec import dif, series
+from corec.cells import NonProductiveError, pointwise
+from corec.dif import Dif, ZERO_TOWER, _Const, damped_sine
 from corec.series import Series, ZERO
 from corec.stream import Stream, defer, repeat, zip_with
 
@@ -88,6 +92,105 @@ def test_a_failing_successor_leaves_the_head_and_fails_at_the_tail():
     for _ in range(2):
         with pytest.raises(OverflowError):
             d.tail
+
+
+def _counted(monkeypatch, module, name):
+    # Wrap module.name so that its calls are counted. Nodes built from here
+    # on carry the wrapper as their tail rule.
+    calls = []
+    rule = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return rule(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_the_machine_builds_a_tower_recurrences_successors(monkeypatch):
+    # damped_sine is q - p and -p - q over Dif nodes, which never end: each
+    # rule runs at most once, to build a node, and never for a successor.
+    calls = [_counted(monkeypatch, dif, name) for name in ("_zip", "_map")]
+    values = damped_sine(Dif.var(0.4)).take(500)
+    # sin(x) exp(-x) is the imaginary part of exp((i - 1) x).
+    for n in (1, 2, 499):
+        want = ((1j - 1) ** n * cmath.exp((1j - 1) * 0.4)).imag
+        assert values[n] == pytest.approx(want, rel=1e-9)
+    assert all(len(c) <= 1 for c in calls), [len(c) for c in calls]
+
+
+def test_the_machine_builds_a_sum_of_infinite_series_successors(monkeypatch):
+    calls = _counted(monkeypatch, series, "_zip")
+    s = Series.from_list([0, 1]).exp() + Series.from_list([0, 2]).exp()
+    values = s.take(500)
+    assert values[:4] == [2, 3, Fraction(5, 2), Fraction(3, 2)]
+    assert values[499] == Fraction(1 + 2 ** 499, factorial(499))
+    assert len(calls) <= 1
+
+
+def _same_class_operands(cls):
+    # A thunk node, a node with a known head, and a pointwise node, each
+    # of exactly the class cls.
+    thunk = cls(lambda: 1, lambda: ZERO if cls is Series else Dif.const(0))
+    known = cls.cons(2, thunk)
+    return [thunk, known, pointwise(cls, None, add, known, thunk)]
+
+
+_RULES = [(Series, series._map, 1), (Series, series._along, 2),
+          (Series, series._zip, 2), (Dif, dif._map, 1), (Dif, dif._zip, 2)]
+
+
+@pytest.mark.parametrize("cls, rule, arity", _RULES,
+                         ids=["series._map", "series._along", "series._zip",
+                              "dif._map", "dif._zip"])
+@pytest.mark.parametrize("op", [add, sub], ids=["add", "sub"])
+def test_a_rule_maps_same_class_tails_to_the_node_the_machine_builds(cls, rule,
+                                                                     arity, op):
+    # The forcing machine builds pointwise(cls, rule, op, a, b) itself when
+    # every operand tail has the node's class; each rule must build the same.
+    nodes = _same_class_operands(cls)
+    for a in nodes:
+        for b in (nodes if arity == 2 else [None]):
+            node = rule(op, a) if b is None else rule(op, a, b)
+            assert type(node) is cls
+            assert node._t is rule
+            assert node._ops == (op, a, b)
+
+
+@pytest.mark.parametrize("head_first", [False, True])
+def test_sums_still_end_at_a_compact_form(head_first):
+    s = Series.from_list([1, 2]) + Series.from_list([3])
+    d = Dif.var(2.0) * 3 + 1
+    if head_first:
+        # The successors are then built while the heads are forced.
+        assert (s.head, d.head) == (4, 7.0)
+        assert (s.tail.head, d.tail.head) == (2, 3.0)
+    assert s.tail.tail is ZERO
+    assert s.take(3) == [4, 2, 0]
+    assert type(d.tail) is _Const and d.tail.value == 3.0
+    assert d.tail.tail is ZERO_TOWER
+
+
+def test_element_400_of_a_tower_product_read_through_its_tails_under_limit_100():
+    # Reading the head after 400 tails nests a few frames, not 400: the
+    # index nodes know their heads when they are built.
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from math import factorial\n"
+        "from corec.dif import Dif\n"
+        "x = Dif.var(Fraction(1, 3))\n"
+        "p = (1 / (x - 2)) * (1 / (x - 2))\n"
+        "sys.setrecursionlimit(100)\n"
+        "for _ in range(400):\n"
+        "    p = p.tail\n"
+        "value = p.head\n"
+        "sys.setrecursionlimit(1000)\n"
+        "assert value == factorial(401) * Fraction(3, 5) ** 402\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr[-500:]
 
 
 def test_deep_pointwise_chains_force_their_head_without_a_crash():
@@ -298,6 +401,14 @@ def test_a_non_productive_tail_is_met_only_when_read():
     assert s.take(1) == [1]
     with pytest.raises(NonProductiveError):
         s.take(2)
+
+
+def test_take_and_at_refuse_an_index_past_sys_maxsize():
+    s = repeat(1)
+    with pytest.raises(ValueError, match=r"^take: n must be at most sys\.maxsize$"):
+        s.take(sys.maxsize + 1)
+    with pytest.raises(ValueError, match=r"^at: index must be at most sys\.maxsize$"):
+        s.at(sys.maxsize + 1)
 
 
 def test_take_and_at_refuse_an_index_that_is_not_an_int():

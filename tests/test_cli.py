@@ -106,6 +106,21 @@ def test_computation_error_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["series", "fibs", "--n", str(sys.maxsize + 1)],
+     "series: --n must be at most %d" % sys.maxsize),
+    (["lambertw", "--n", str(sys.maxsize + 1)],
+     "lambertw: --n must be at most %d" % sys.maxsize),
+    # qft prints order + 1 values, so its bound is one lower.
+    (["qft", "--g", "2", "--order", str(sys.maxsize)],
+     "qft: --order must be at most %d" % (sys.maxsize - 1)),
+    (["wkb", "--x0", "1.3", "--orders", str(sys.maxsize + 1)],
+     "wkb: --orders must be at most %d" % sys.maxsize),
+], ids=["series", "lambertw", "qft", "wkb"])
+def test_a_count_past_sys_maxsize_names_the_command_and_option(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
+
+
 def test_deterministic_stdout(capsys):
     _, first, _ = run(capsys, "qft", "--g", "2", "--order", "10")
     _, second, _ = run(capsys, "qft", "--g", "2", "--order", "10")
