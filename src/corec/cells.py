@@ -22,36 +22,34 @@ them), forces both:
   Elementwise operations (``map``, ``zip_with``, ``+``, ``-``, negation,
   ``scale``) thus allocate one node per element and no closures.
 
-A tail rule is the end handler of an algebra, and nothing more. The
-machine calls ``rule(op, a.tail, b.tail)`` instead of building the
-successor only where an operand tail is not exactly of the node's class:
-a compact form (``ZERO``, a ``_Const`` tower) or a node of another
-algebra. There a series plus ``ZERO`` is the series, a tower plus a
-constant's ``ZERO_TOWER`` tail is the tower, a map of a constant is a
-constant, and a series plus ``x^k p`` passes the series through for the k
-zeros of the shift, which are never built (its right operand is ``ZERO``,
-so that rule runs at every node). Every rule keeps one invariant, on which
-this short-cut rests: given operand tails of exactly the node's class, it
-returns ``pointwise(cls, rule, op, a.tail, b.tail)``, the node the
-machine builds. A stream has no rule, so a recurrence's successors cost no
-Python call, and neither do those of a tower recurrence or of a sum of
-series that never end. A rule only builds nodes and never forces, so when
-a head is forced while the operands' tails already are, the successor is
-built at once; a rule that raises there is run again, and raises, at
-``.tail``. Once both cells are forced the node drops its operands, so a
-forced prefix pins no operand nodes. Forcing an operand is a plain Python
-call, which CPython 3.11 runs without C stack, so a pointwise chain is
-limited only by the recursion limit; thunks and ``defer`` still reach
-through the properties and use C stack per level.
+A tail rule is the end handler of an algebra, and nothing more. It runs
+only at ``.tail``, and only where an operand tail is not exactly of the
+node's class: a compact form (``ZERO``, a ``_Const`` tower) or a node of
+another algebra. There the tail is ``rule(op, a.tail, b.tail)``: a series
+plus ``ZERO`` is the series, a tower plus a constant's ``ZERO_TOWER``
+tail is the tower, a map of a constant is a constant, and a series plus
+``x^k p`` passes the series through for the k zeros of the shift, which
+are never built (its right operand is ``ZERO``, so that rule runs at
+every node). Every rule keeps one invariant, on which this short-cut
+rests: given operand tails of exactly the node's class, it returns
+``pointwise(cls, rule, op, a.tail, b.tail)``, the node the machine
+builds. A stream has no rule, so a recurrence's successors cost no Python
+call, and neither do those of a tower recurrence or of a sum of series
+that never end. A head forced where an operand ends leaves the node's
+tail, and its operands, to ``.tail``. Once both cells are forced the node
+drops its operands, so a forced prefix pins no operand nodes. Forcing an
+operand is a plain Python call, which CPython 3.11 runs without C stack,
+so a pointwise chain is limited only by the recursion limit; thunks and
+``defer`` still reach through the properties and use C stack per level.
 
 Products, quotients, integrals and derivatives of series and towers are
 pointwise nodes over a series of indices (``series._indices``): element n
 is ``element(n)``, and the result ends where the indices end. The index
 nodes have the class of the result, so the machine builds its successors.
 Where a polynomial product ends is known only by walking operand tails,
-and a rule must not force, so that question (``done``) is asked in the
-thunk of the index node's tail, which runs only when the result's tail is
-forced.
+so that question (``done``) is asked in the thunk of the index node's
+tail, which runs only when the result's tail is forced; every other
+successor of the result is then built without a call.
 The library's thunk nodes are the user-level definitions of the catalog,
 ``dsp`` and ``qft``, ``defer`` and ``delayed``, and a few that build one
 node per level or row rather than per element, or whose end needs a rule
@@ -153,39 +151,24 @@ def _head(node):
         if state == _FORCED:
             node._ops = None
         return value
-    # The successor's operands are at hand: build it now, with no call
-    # where there is no rule or no operand ends. A rule that raises is left
-    # for the tail to run again. This is pointwise() inline, not a call to
-    # it: nearly every successor of a stream or tower recurrence (each dsp
-    # sample) is built here, and .tail builds the few others through
-    # pointwise(). The rule-less branch comes first so that a stream pays
-    # no class test, and the early returns keep every jump of its path
-    # short (no EXTENDED_ARG prefix in CPython 3.11).
+    # The successor's operands are at hand: build it now unless, by _tail's
+    # test, it needs the rule; where an operand ends, the rule runs at .tail.
+    # This is pointwise() inline, not a call to it: nearly every successor
+    # of a stream or tower recurrence (each dsp sample) is built here. The
+    # rule is tested first so that a stream pays no class test, and the
+    # early returns keep every jump of its path short (no EXTENDED_ARG
+    # prefix in CPython 3.11).
     rule = node._t
-    if rule is None:
-        rest = object.__new__(type(node))
-        rest._hs = _UNFORCED
-        rest._ts = _UNFORCED
-        rest._t = None
-        rest._ops = (op, a._t, None if b is None else b._t)
-        node._t = rest
-    else:
-        a, cls = a._t, type(node)
-        if b is not None:
-            b = b._t
-        if type(a) is cls and (b is None or type(b) is cls):
-            # No operand ends here: this is the node the rule builds.
-            rest = object.__new__(cls)
-            rest._hs = _UNFORCED
-            rest._ts = _UNFORCED
-            rest._t = rule
-            rest._ops = (op, a, b)
-            node._t = rest
-        else:
-            try:
-                node._t = rule(op, a) if b is None else rule(op, a, b)
-            except Exception:
-                return value
+    if rule is not None:
+        cls = type(node)
+        if type(a._t) is not cls or b is not None and type(b._t) is not cls:
+            return value
+    rest = object.__new__(type(node))
+    rest._hs = _UNFORCED
+    rest._ts = _UNFORCED
+    rest._t = rule
+    rest._ops = (op, a._t, None if b is None else b._t)
+    node._t = rest
     node._ts = _FORCED
     node._ops = None
     return value
@@ -230,9 +213,10 @@ def pointwise(cls, rule, op, a, b=None):
     b.head)`` with ``b``. Its tail is the same node over the operands'
     tails, built by the forcing machine, except where an operand tail is
     not exactly of class ``cls``: there it is ``rule(op, a.tail)``, or
-    ``rule(op, a.tail, b.tail)``. The rule is the end handler, given only
-    where the algebra has a short-cut to take; given tails of class
-    ``cls``, it must return ``pointwise(cls, rule, op, a.tail, b.tail)``."""
+    ``rule(op, a.tail, b.tail)``, called only when ``.tail`` is read. The
+    rule is the end handler, given only where the algebra has a short-cut
+    to take; given tails of class ``cls``, it must return ``pointwise(cls,
+    rule, op, a.tail, b.tail)``."""
     node = cls.__new__(cls)
     node._hs = _UNFORCED
     node._ts = _UNFORCED

@@ -159,12 +159,21 @@ def _run_lambertw(args) -> None:
 
 
 def _run_qft(args) -> None:
-    # It prints order + 1 values.
+    # It prints order + 1 values, each computed as it is printed. The order
+    # is checked after greens has checked n, as greens(n, order) does.
     _at_most(args.order, "qft: --order", sys.maxsize - 1)
+    from itertools import islice
+
     from .qft import greens
 
-    series = greens(args.g, args.order)
-    _write([series.take(args.order + 1)], ("value",))
+    _write([islice(greens(args.g), _order(args.order) + 1)], ("value",))
+
+
+def _order(order) -> int:
+    """``order``, refused below 0 as ``greens(n, order)`` refuses it."""
+    if order < 0:
+        raise ValueError("greens: order must be >= 0")
+    return order
 
 
 def _run_wkb(args) -> None:

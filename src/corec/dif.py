@@ -199,10 +199,10 @@ def _zero_tower():
 _NUMBER_TYPES = (int, float, complex)
 
 
-# _map and _zip are also tail rules. The forcing machine calls one only
-# where an operand tail is a compact constant or not a Dif node; given Dif
-# tails, a rule must return pointwise(Dif, rule, op, *tails), the node that
-# the machine builds in its place.
+# _map and _zip are also tail rules. The forcing machine calls one only at
+# .tail, and only where an operand tail is a compact constant or not a Dif
+# node; given Dif tails, a rule must return pointwise(Dif, rule, op,
+# *tails), the node that the machine builds in its place.
 
 def _map(op, a):
     # Elementwise op; it maps a compact constant to a compact constant.

@@ -455,27 +455,26 @@ class _Prefix:
 def _indices(n, done=None, cls=Series):
     # The cls nodes n, n + 1, ...; each tail builds the next node when read.
     # A map of class cls over them has its successors built by the forcing
-    # machine, without a call to its rule. With done, they are Series nodes
-    # and end in ZERO after the first m for which done(m) is true.
-    if done is None:
-        return cls.cons(n, partial(_indices, n + 1, None, cls))
-    return Series.cons(n, partial(_next_index, n, done))
+    # machine, without a call to its rule. With done, they end in ZERO
+    # after the first m for which done(m) is true.
+    return cls.cons(n, partial(_next_index, n, done, cls))
 
 
-def _next_index(n, done):
-    # done walks operand tails, so it runs only here, when a result's tail
-    # is forced.
-    if done(n):
+def _next_index(n, done, cls):
+    # done walks operand tails. Asked here, when a result's tail is forced,
+    # it ends the indices, so the result's rule runs only at its end and
+    # every other successor is built without a call.
+    if done is not None and done(n):
         return ZERO
-    return Series.cons(n + 1, partial(_next_index, n + 1, done))
+    return cls.cons(n + 1, partial(_next_index, n + 1, done, cls))
 
 
 # -- lazy helpers (forcing only happens inside thunks) -------------------
 #
 # _map, _zip, _passing and _along are also tail rules. The forcing machine
-# calls one only where an operand tail is ZERO or not a Series node; given
-# Series tails, a rule must return pointwise(Series, rule, op, *tails), the
-# node that the machine builds in its place.
+# calls one only at .tail, and only where an operand tail is ZERO or not a
+# Series node; given Series tails, a rule must return pointwise(Series,
+# rule, op, *tails), the node that the machine builds in its place.
 
 def _map(f, u):
     # f is assumed to fix zero, so the compact zero tail maps to itself;

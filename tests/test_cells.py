@@ -129,6 +129,20 @@ def test_the_machine_builds_a_sum_of_infinite_series_successors(monkeypatch):
     assert len(calls) <= 1
 
 
+def test_a_rule_runs_only_at_the_tail(monkeypatch):
+    # Each head is forced while an operand's tail is already a compact
+    # form: no successor is built then, and the rule runs when .tail is read.
+    calls = [_counted(monkeypatch, series, "_zip"),
+             _counted(monkeypatch, dif, "_map")]
+    s = Series.from_list([1, 2]) + Series.from_list([3])
+    d = Dif.var(2.0) * 3 + 1
+    built = [len(c) for c in calls]
+    assert (s.head, d.head) == (4, 7.0)
+    assert [len(c) for c in calls] == built
+    assert s.tail.head == 2 and type(d.tail) is _Const
+    assert [len(c) for c in calls] == [n + 1 for n in built]
+
+
 def _same_class_operands(cls):
     # A thunk node, a node with a known head, and a pointwise node, each
     # of exactly the class cls.
@@ -163,7 +177,8 @@ def test_sums_still_end_at_a_compact_form(head_first):
     s = Series.from_list([1, 2]) + Series.from_list([3])
     d = Dif.var(2.0) * 3 + 1
     if head_first:
-        # The successors are then built while the heads are forced.
+        # Each head is forced before its tail, while an operand's tail is
+        # already a compact form; the rule still runs at .tail.
         assert (s.head, d.head) == (4, 7.0)
         assert (s.tail.head, d.tail.head) == (2, 3.0)
     assert s.tail.tail is ZERO

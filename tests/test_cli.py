@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from corec import catalog, cli
+from corec import catalog, cli, qft
 from corec.cli import main
 
 from support import pentagonal_partitions, python_env, run_python
@@ -409,6 +409,18 @@ def test_an_error_after_the_first_line_keeps_the_printed_lines(monkeypatch, caps
     code, out, err = run(capsys, "series", "integs", "--n", "10", "--csv")
     assert (code, out, err) == (2, "index,value\n0,1\n1,2\n2,3\n",
                                 "error: math domain error\n")
+
+
+def test_qft_prints_each_line_before_the_next_value_is_computed(monkeypatch, capsys):
+    # Element 2 of the patched row fails; the header and elements 0-1 are
+    # printed, so no value is computed before the first line.
+    def failing(n, order=None):
+        return catalog.integers().map(lambda v: v if v < 3 else 1 // 0)
+
+    monkeypatch.setattr(qft, "greens", failing)
+    code, out, err = run(capsys, "qft", "--g", "2", "--order", "1000")
+    assert (code, out, err) == (2, "index,value\n0,1\n1,2\n",
+                                "error: integer division or modulo by zero\n")
 
 
 def test_each_line_is_written_before_the_next_element_is_forced(monkeypatch):
