@@ -71,14 +71,9 @@ def bessel_series() -> Series:
     quarter = Fraction(1, 4)
     w = Series.cons(
         Fraction(1),
-        lambda: _integral_body(w.scale(-quarter) - w.diff().diff().shift(2)),
+        lambda: (w.scale(-quarter) - w.diff().diff().shift(2)).integral().tail,
     )
     return w
-
-
-def _integral_body(u: Series) -> Series:
-    # Tail of integral(u, c): coefficient k is u_k / (k + 1).
-    return u.integral(0).tail
 
 
 def _exp_demo() -> Series:

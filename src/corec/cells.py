@@ -53,8 +53,8 @@ successor of the result is then built without a call.
 The library's thunk nodes are the user-level definitions of the catalog,
 ``dsp`` and ``qft``, ``defer`` and ``delayed``, and a few that build one
 node per level or row rather than per element, or whose end needs a rule
-of its own: ``compose``'s Horner scheme, ``transpose``,
-``taylor_from_tower`` and ``wkb.add_to_tail``.
+of its own: ``compose``'s Horner scheme, ``transpose`` and
+``taylor_from_tower``.
 
 A deferred node (:meth:`LazyPair.defer`) is a thunk node that reads the
 head and the tail of the node its function returns; that function runs

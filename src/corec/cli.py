@@ -121,12 +121,10 @@ def _write(columns, names=None) -> None:
     values on each line. An error while iterating ends the output there;
     the lines already printed stay.
     """
-    from .coeffs import format_coeff
-
     if names:
         print(",".join(("index",) + names))
     for k, row in enumerate(zip(*columns)):
-        text = ",".join(map(format_coeff, row))
+        text = ",".join(map(str, row))
         print("%d,%s" % (k, text) if names else text)
 
 

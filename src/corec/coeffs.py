@@ -58,17 +58,11 @@ def rational(numerator: int, denominator: int = 1) -> Fraction:
 
 
 def format_coeff(value) -> str:
-    """Canonical text for a coefficient.
+    """Canonical text for a coefficient: ``str(value)``.
 
     Exact values render as ``p/q`` (or just ``p`` for integers); floats
     use Python's shortest round-trip representation.
     """
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return "%d/%d" % (value.numerator, value.denominator)
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 

@@ -88,24 +88,15 @@ class Dif(Analytic):
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        other = _lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _combine(add, self, other)
+        return _combine(add, self, _lift(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _combine(sub, self, other)
+        return _combine(sub, self, _lift(other))
 
     def __rsub__(self, other):
-        other = _lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _combine(sub, other, self)
+        return _combine(sub, _lift(other), self)
 
     def __neg__(self):
         return _map(neg, self)
@@ -212,7 +203,10 @@ def _map(op, a):
 
 
 def _combine(op, a, b):
-    # a + b or a - b, elementwise; two compact constants stay compact.
+    # a + b or a - b, elementwise; two compact constants stay compact. An
+    # operand that _lift refused is NotImplemented, and so is the sum.
+    if a is NotImplemented or b is NotImplemented:
+        return NotImplemented
     if isinstance(a, _Const) and isinstance(b, _Const):
         return Dif.const(op(a.value, b.value))
     return pointwise(Dif, _zip, op, a, b)

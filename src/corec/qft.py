@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import Series, ZERO, _coeff_derivation, transpose
+from .series import Series, _coeff_derivation, transpose
 
 __all__ = ["dyson_schwinger", "greens", "parity_check"]
 
@@ -52,8 +52,6 @@ def greens(n: int, order: int | None = None) -> Series:
     if n < 2:
         raise ValueError("greens: n must be >= 2")
     row = transpose(dyson_schwinger()).at(n - 1)
-    if not isinstance(row, Series):
-        row = ZERO
     if order is not None:
         if order < 0:
             raise ValueError("greens: order must be >= 0")
@@ -69,8 +67,7 @@ def parity_check(max_order: int) -> bool:
     """
     phi = dyson_schwinger()
     for k, inner in enumerate(phi.take(max_order + 1)):
-        coeffs = inner.coefficients(k + 4) if isinstance(inner, Series) else []
-        for a, c in enumerate(coeffs):
+        for a, c in enumerate(inner.coefficients(k + 4)):
             if (a + k) % 2 == 0 and c != 0:
                 return False
     return True

@@ -149,8 +149,7 @@ class Series(Analytic):
     @classmethod
     def _solve(cls, value, derivative):
         # W = value + integral(W')
-        return Series.cons(value,
-                           lambda: _along(divide, derivative(), _indices(1)))
+        return Series.cons(value, lambda: derivative().integral().tail)
 
     # -- construction ------------------------------------------------
 
@@ -273,6 +272,8 @@ class Series(Analytic):
             w = _map(element, _indices(0, done))
             pq = _Prefix(w)
             return w
+        if other == 0:
+            raise ZeroDivisionError("series division by zero")
         c = Fraction(other) if isinstance(other, int) else other
         return self.map(lambda x: x / c)
 

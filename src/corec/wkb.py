@@ -11,7 +11,9 @@ coupled closed forms
 with every prime a derivative in x. They look circular (V' wants U'',
 which wants V'' and so on), but the eps^2 shifts make the dependency
 well-founded: coefficient k of V' needs U only up to order k and V' only
-up to order k-1.
+up to order k-1. :func:`wkb_expand` writes V' as this equation, with the
+factor eps^2 as ``.shift(1)`` in the series in eps^2; the sum passes the
+other terms through for the shift's zero, so it is never built.
 
 Here the x-dependence is carried by derivative towers (:class:`~corec.dif.Dif`)
 evaluated at the point of interest, so "series whose coefficients are
@@ -28,7 +30,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .dif import Dif
-from .series import Series, ZERO, _coeff_derivation, _coeff_head
+from .series import Series, _coeff_derivation, _coeff_head
 
 __all__ = ["WkbResult", "add_to_tail", "wkb_expand", "airy_s0_prime"]
 
@@ -49,9 +51,7 @@ class WkbResult(NamedTuple):
 
 def add_to_tail(a: Series, z: Series) -> Series:
     """Add ``z`` one order up: result_0 = a_0, result_{k+1} = a_{k+1} + z_k."""
-    if a is ZERO and z is ZERO:
-        return ZERO
-    return Series(lambda: a.head, lambda: a.tail + z)
+    return a + z.shift(1)
 
 
 def wkb_expand(s0_prime: Dif, orders: int) -> WkbResult:
@@ -73,10 +73,8 @@ def wkb_expand(s0_prime: Dif, orders: int) -> WkbResult:
     u_prime = u.map(_coeff_derivation)
     half_over_s0 = -0.5 / s0_prime
     v_prime = Series.defer(
-        lambda: add_to_tail(
-            u_prime * u_prime + u_prime.map(_coeff_derivation),
-            v_prime * v_prime,
-        ).scale(half_over_s0)
+        lambda: (u_prime * u_prime + u_prime.map(_coeff_derivation)
+                 + (v_prime * v_prime).shift(1)).scale(half_over_s0)
     )
 
     u_main = u.map(_coeff_head)

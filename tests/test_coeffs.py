@@ -49,6 +49,15 @@ def test_formatting():
     assert format_coeff(7) == "7"
 
 
+@pytest.mark.parametrize("value", [
+    0, -7, 10**40,
+    Fraction(5, 1), Fraction(-(10**30) - 1, 7**20),
+    -0.0, math.inf, math.nan, 5e-324, 1e300,
+])
+def test_formatting_is_str(value):
+    assert format_coeff(value) == str(value)
+
+
 def test_reduction_invariant_after_random_ops():
     rng = random.Random(20240811)
     import math

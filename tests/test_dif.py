@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -235,6 +236,23 @@ def test_scalar_lifting_in_mixed_arithmetic():
     assert (2 * w).elements(3) == [2.0, 2, 0]
     assert (1 - w).elements(3) == [0.0, -1, 0]
     assert close((1 / (1 + w)).elements(3), [0.5, -0.25, 0.25], 1e-12)
+
+
+@pytest.mark.parametrize("other", ["x", None])
+def test_non_number_operands_raise_type_error_on_both_sides(other):
+    w = Dif.var(1.0)
+    for op in [operator.add, operator.sub, operator.mul, operator.truediv]:
+        with pytest.raises(TypeError):
+            op(w, other)
+        with pytest.raises(TypeError):
+            op(other, w)
+
+
+def test_tower_plus_series_falls_back_to_the_series_sum():
+    s = Dif.var(1.0) + Series.from_list([1, 2])
+    assert isinstance(s, Series)
+    assert s.head.elements(3) == [2.0, 1, 0]
+    assert s.coefficients(3)[1:] == [2, 0]
 
 
 # -- showcase towers -------------------------------------------------------

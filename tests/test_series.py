@@ -109,6 +109,13 @@ def test_div_rejects_zero_head():
         Series.from_list([1]) / ZERO
 
 
+def test_division_by_scalar_zero_raises_at_the_call():
+    u = Series.from_list([1, 2])
+    for s, zero in [(ZERO, 0), (u, 0), (u, 0.0)]:
+        with pytest.raises(ZeroDivisionError, match="series division by zero"):
+            s / zero
+
+
 def test_div_roundtrip_property():
     rng = random.Random(5)
     for _ in range(20):
