@@ -286,23 +286,13 @@ class LazyPair:
         caller's recursion limit; a definition nested deeper raises
         ``RecursionError``. ``n`` past ``sys.maxsize`` raises ``ValueError``.
         """
-        n = index(n)
-        if n < 0:
-            raise ValueError("take: n must be >= 0")
-        if n > maxsize:
-            raise ValueError("take: n must be at most sys.maxsize")
-        return list(islice(_elements(self), n))
+        return list(islice(_elements(self), _count(n, "take: n")))
 
     def at(self, k):
         """Force and return element ``k``: ``k + 1`` heads and ``k`` tails,
         read through the walker of :meth:`take`, with no list built. ``k``
         past ``sys.maxsize`` raises ``ValueError``."""
-        k = index(k)
-        if k < 0:
-            raise ValueError("at: index must be >= 0")
-        if k > maxsize:
-            raise ValueError("at: index must be at most sys.maxsize")
-        return next(islice(_elements(self), k, None))
+        return next(islice(_elements(self), _count(k, "at: index"), None))
 
     def __iter__(self):
         # The generator holds only the node it has reached, so iterating
@@ -325,6 +315,15 @@ class LazyPair:
         shown = self._forced_prefix()
         inner = ", ".join(repr(v) for v in shown)
         return "<%s [%s...]>" % (type(self).__name__, inner)
+
+
+def _count(n, name):
+    # take's n or at's k as an int in [0, sys.maxsize]; name starts the error.
+    n = index(n)
+    if 0 <= n <= maxsize:
+        return n
+    limit = ">= 0" if n < 0 else "at most sys.maxsize"
+    raise ValueError("%s must be %s" % (name, limit))
 
 
 def _delayed(cls, m, node, fill):

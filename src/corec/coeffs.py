@@ -197,15 +197,13 @@ def scalar_sqrt(x):
 
 def scalar_pow(x, a):
     if is_exact(x):
-        if isinstance(a, int):
+        if isinstance(a, (int, Fraction)) and a.denominator == 1:
             return Fraction(x) ** a
-        if isinstance(a, Fraction) and a.denominator == 1:
-            return Fraction(x) ** int(a)
         if x == 1:
             return 1
         raise ValueError("non-integer power of an exact value is irrational")
-    # An int power keeps ``**``, which a series repeats as products and so
-    # allows a zero head; other powers of a series or tower are its own pow.
+    # An int power keeps ``**``, which series and towers both repeat as
+    # products and so allow a zero value; other powers are their own pow.
     if not isinstance(a, int) and hasattr(x, "pow"):
         return x.pow(a)
     return x ** a

@@ -21,7 +21,8 @@ each once for series and towers as a co-recursion over products and
 quotients, so n elements of any tower cost O(n^2) operations. In float
 towers the weights comb(n, k) leave the float range near n = 1030, where a
 product raises ``OverflowError``. Exact towers stay exact, square roots
-included, and sqrt and pow need a nonzero value.
+included, and sqrt and pow need a nonzero value; an int ``**`` is
+repeated products, as for a series, and allows a zero value.
 
 Constants get the compact :meth:`Dif.const` form (a value followed by
 zeros); the differentiation variable at a point x0 is ``Dif.var(x0)``,
@@ -42,7 +43,7 @@ from operator import add, mul, neg, sub
 
 from .cells import pointwise
 from .coeffs import divide, dot, scalar_cos, scalar_exp, scalar_recip, scalar_sin
-from .series import Analytic, Series, ZERO as SERIES_ZERO, _indices, _Prefix
+from .series import Analytic, Series, ZERO as SERIES_ZERO, _indices, _power, _Prefix
 
 __all__ = ["Dif", "ZERO_TOWER", "damped_sine", "lambert_w_tower", "taylor_from_tower"]
 
@@ -165,6 +166,9 @@ class Dif(Analytic):
         if other is NotImplemented:
             return NotImplemented
         return other / self
+
+    def __pow__(self, a):
+        return _power(self, a, Dif.const(1))
 
 
 class _Const(Dif):

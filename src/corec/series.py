@@ -19,20 +19,22 @@ own coefficient, ``q_n = (u_n - sum_(j<n) q_j v_(n-j)) / v_0``, which needs
 an invertible leading coefficient and never cancels powers of x. Either is
 a pointwise node that maps its element function over the series of indices
 0, 1, 2, ..., much as an integral maps ``u_(k-1) / k`` and a derivative
-``u_(k+1) * (k+1)`` along the indices from 1. Either way n coefficients
-cost O(n^2) coefficient operations, and exact terms are put over one
-common denominator and reduced once per coefficient
-(:func:`corec.coeffs.dot`). Coefficient n reads no operand coefficient
-beyond n. A product of two polynomials ends in :data:`ZERO` past the sum
-of their degrees, and a polynomial divided by a constant ends where the
-polynomial does; to see where an operand ends, the result walks the
-operand's tails, never reading a coefficient for it, so the end is found
-even when only the result's tails are walked. The index series asks this
-in the thunk of its own tail, so only reading the result's tail walks the
-operands. The elementary functions are defined by their integral
-equations, e.g. ``W = exp U`` satisfies ``W = exp(u0) + integral(W * U')``.
-Equality of series is deliberately not an operation; tests and callers
-compare finite coefficient windows.
+``u_(k+1) * (k+1)`` over a series and the indices from 1. All of these go
+through one map rule, ``_map``, of one operand or two; with ``_zip``
+(sums) and ``_passing`` (a sum with a shift) it is one of the three tail
+rules of a series. Either way n coefficients cost O(n^2) coefficient
+operations, and exact terms are put over one common denominator and
+reduced once per coefficient (:func:`corec.coeffs.dot`). Coefficient n
+reads no operand coefficient beyond n. A product of two polynomials ends
+in :data:`ZERO` past the sum of their degrees, and a polynomial divided by
+a constant ends where the polynomial does; to see where an operand ends,
+the result walks the operand's tails, never reading a coefficient for it,
+so the end is found even when only the result's tails are walked. The
+index series asks this in the thunk of its own tail, so only reading the
+result's tail walks the operands. The elementary functions are defined by
+their integral equations, e.g. ``W = exp U`` satisfies ``W = exp(u0) +
+integral(W * U')``. Equality of series is deliberately not an operation;
+tests and callers compare finite coefficient windows.
 
 The elementary functions live on :class:`Analytic`, the base class that
 series share with derivative towers (:class:`corec.dif.Dif`): both are
@@ -71,6 +73,22 @@ def _invertible(c):
     # coefficients iff they are nonzero.
     lead = getattr(c, "value", c)
     return not (lead == 0)
+
+
+def _power(u, a, one):
+    # u ** a for a series or tower u. An int a >= 0 is repeated squaring
+    # from the unit ``one``: total, and exact for any value, 0 included.
+    # Other powers are u.pow(a).
+    if not (isinstance(a, int) and a >= 0):
+        return u.pow(a)
+    result, base = one, u
+    while a:
+        if a & 1:
+            result = result * base
+        a >>= 1
+        if a:
+            base = base * base
+    return result
 
 
 class Analytic(LazyPair):
@@ -272,7 +290,7 @@ class Series(Analytic):
             w = _map(element, _indices(0, done))
             pq = _Prefix(w)
             return w
-        if other == 0:
+        if not _invertible(other):
             raise ZeroDivisionError("series division by zero")
         c = Fraction(other) if isinstance(other, int) else other
         return self.map(lambda x: x / c)
@@ -281,18 +299,7 @@ class Series(Analytic):
         return Series.cons(other, ZERO) / self
 
     def __pow__(self, a):
-        if isinstance(a, int) and a >= 0:
-            # Repeated multiplication: total, and exact for any head.
-            result = Series.cons(1, ZERO)
-            base, k = self, a
-            while k:
-                if k & 1:
-                    result = result * base
-                k >>= 1
-                if k:
-                    base = base * base
-            return result
-        return self.pow(a)
+        return _power(self, a, Series.cons(1, ZERO))
 
     # -- calculus ------------------------------------------------------
 
@@ -301,7 +308,7 @@ class Series(Analytic):
         u = self
         if u is ZERO:
             return ZERO
-        return Series.defer(lambda: _along(mul, u.tail, _indices(1)))
+        return Series.defer(lambda: _map(mul, u.tail, _indices(1)))
 
     _derivation = diff
 
@@ -311,7 +318,7 @@ class Series(Analytic):
             if isinstance(constant, (int, float, Fraction)) and constant == 0:
                 return ZERO
             return Series.cons(constant, ZERO)
-        return Series.cons(constant, _along(divide, self, _indices(1)))
+        return Series.cons(constant, _map(divide, self, _indices(1)))
 
     # -- composition ----------------------------------------------------
 
@@ -319,14 +326,11 @@ class Series(Analytic):
         """U(V(x)) for V with zero constant term, as a nested Horner scheme."""
         if not isinstance(v, Series):
             raise TypeError("compose expects a Series argument")
-        if v is ZERO:
-            vbar = ZERO
-        else:
-            if v.head != 0:
-                raise ValueError(
-                    "compose: inner series must have a zero constant term"
-                )
-            vbar = v.tail
+        if v.head != 0:
+            raise ValueError(
+                "compose: inner series must have a zero constant term"
+            )
+        vbar = v.tail
 
         def horner(node):
             if node is ZERO:
@@ -472,17 +476,19 @@ def _next_index(n, done, cls):
 
 # -- lazy helpers (forcing only happens inside thunks) -------------------
 #
-# _map, _zip, _passing and _along are also tail rules. The forcing machine
-# calls one only at .tail, and only where an operand tail is ZERO or not a
-# Series node; given Series tails, a rule must return pointwise(Series,
-# rule, op, *tails), the node that the machine builds in its place.
+# _map (of one operand or two), _zip and _passing are also tail rules. The
+# forcing machine calls one only at .tail, and only where an operand tail is
+# ZERO or not a Series node; given Series tails, a rule must return
+# pointwise(Series, rule, op, *tails), the node that the machine builds in
+# its place.
 
-def _map(f, u):
-    # f is assumed to fix zero, so the compact zero tail maps to itself;
-    # over _indices, the result ends where the indices do.
+def _map(f, u, v=None):
+    # Element k is f(u_k), or f(u_k, v_k) with v, and the result ends where
+    # u does: f is assumed to fix zero, so the compact zero tail of u maps
+    # to itself.
     if u is ZERO:
         return ZERO
-    return pointwise(Series, _map, f, u)
+    return pointwise(Series, _map, f, u, v)
 
 
 def _sum(op, u, v):
@@ -512,10 +518,3 @@ def _passing(k, p, op, u, zero):
     if u is ZERO:
         return _zip(op, u, Series.delayed(k - 1, p, 0))
     return pointwise(Series, partial(_passing, k - 1, p), op, u, ZERO)
-
-
-def _along(op, u, ks):
-    # Element k is op(u_k, ks_k); the result ends where u does.
-    if u is ZERO:
-        return ZERO
-    return pointwise(Series, _along, op, u, ks)

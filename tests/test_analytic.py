@@ -83,6 +83,24 @@ def test_series_pow_of_tower_coefficients_matches_sqrt():
             assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
 
 
+def test_a_series_with_a_tower_head_hands_the_head_to_the_tower():
+    # The value of each function is the scalar function of the head tower:
+    # recip is the tower's recip, and an int pow is the tower's **, so
+    # u.pow(2) has the values of u * u.
+    head = Series.cons(Dif.var(2.0), ZERO).recip().at(0)
+    assert head.elements(3) == [0.5, -0.25, 0.25]
+    u = Series.from_list([Dif.var(1.0), 1])
+    got, want = u.pow(2).coefficients(5), (u * u).coefficients(5)
+    for g, w in zip(got, want):
+        assert _elements(g, 4) == _elements(w, 4)
+
+
+def _elements(c, n):
+    # A coefficient of a series of towers, or the plain 0 or 1 that stands
+    # for a constant tower.
+    return c.elements(n) if isinstance(c, Dif) else [c] + [0] * (n - 1)
+
+
 def test_scalar_pow_keeps_int_powers_of_a_series_as_products():
     # An int power is repeated multiplication, so a zero head is allowed;
     # any other power is the series' own pow, which needs a nonzero value.

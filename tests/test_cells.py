@@ -151,12 +151,12 @@ def _same_class_operands(cls):
     return [thunk, known, pointwise(cls, None, add, known, thunk)]
 
 
-_RULES = [(Series, series._map, 1), (Series, series._along, 2),
+_RULES = [(Series, series._map, 1), (Series, series._map, 2),
           (Series, series._zip, 2), (Dif, dif._map, 1), (Dif, dif._zip, 2)]
 
 
 @pytest.mark.parametrize("cls, rule, arity", _RULES,
-                         ids=["series._map", "series._along", "series._zip",
+                         ids=["series._map", "series._map2", "series._zip",
                               "dif._map", "dif._zip"])
 @pytest.mark.parametrize("op", [add, sub], ids=["add", "sub"])
 def test_a_rule_maps_same_class_tails_to_the_node_the_machine_builds(cls, rule,

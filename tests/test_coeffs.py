@@ -6,6 +6,7 @@ import pytest
 
 from corec.coeffs import (
     Rational,
+    dot,
     format_coeff,
     rational,
     scalar_exp,
@@ -58,6 +59,11 @@ def test_formatting_is_str(value):
     assert format_coeff(value) == str(value)
 
 
+def test_an_empty_dot_is_zero():
+    assert dot([], []) == 0
+    assert dot([], [], start=Fraction(1, 2)) == Fraction(1, 2)
+
+
 def test_reduction_invariant_after_random_ops():
     rng = random.Random(20240811)
     import math
@@ -99,6 +105,7 @@ def test_scalar_functions_exact_special_points():
     assert scalar_log(1) == 0
     assert scalar_sqrt(Fraction(9, 4)) == Fraction(3, 2)
     assert scalar_pow(Fraction(2, 3), -2) == Fraction(9, 4)
+    assert scalar_pow(Fraction(2, 3), Fraction(-2)) == Fraction(9, 4)
     assert scalar_recip(4) == Fraction(1, 4)
 
 

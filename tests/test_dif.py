@@ -8,6 +8,7 @@ import pytest
 from corec.dif import (
     Dif,
     ZERO_TOWER,
+    _Const,
     damped_sine,
     lambert_w_tower,
     taylor_from_tower,
@@ -99,6 +100,10 @@ def test_division_zero_over_zero_is_tower_of_extended_quotient():
 
 def test_division_zero_over_zero_towers():
     assert (Dif.const(0) / Dif.const(0)).elements(4) == [0, 0, 0, 0]
+    # 0 over x at 0 is 0 over 1 once lowered, read exactly.
+    got = (Dif.const(0) / Dif.var(0)).elements(4)
+    assert got == [0, 0, 0, 0]
+    assert all(type(v) is Fraction for v in got)
 
 
 def test_division_zero_over_zero_to_every_order_is_indeterminate():
@@ -145,6 +150,20 @@ def test_pow_towers():
     # x^1.5 at 4: 8, 1.5*2, 0.75/2, -0.375/8
     got = Dif.var(4.0).pow(1.5).elements(4)
     assert close(got, [8.0, 3.0, 0.375, -0.046875], 1e-12)
+
+
+def test_int_power_operator_is_repeated_products():
+    # ** with an int >= 0 multiplies, as for a series, so a zero value is
+    # allowed where pow refuses it; any other exponent is pow.
+    assert (Dif.var(2) ** 3).elements(5) == [8, 12, 12, 6, 0]
+    zero = Dif.var(0.0)
+    assert (zero ** 2).elements(3) == [0.0, 0.0, 2.0]
+    with pytest.raises(ValueError):
+        zero.pow(2)
+    one = Dif.var(2.0) ** 0
+    assert type(one) is _Const and one.value == 1
+    x = Dif.var(Fraction(2))
+    assert (x ** -1).elements(5) == x.pow(-1).elements(5)
 
 
 def test_atan_asin_values():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from corec.dif import Dif
+from corec.dif import Dif, ZERO_TOWER
 from corec.series import Series, ZERO, sint, transpose
 
 
@@ -100,6 +100,7 @@ def test_div_geometric():
 def test_div_self_is_one():
     u = Series.from_list([3, 1, 4, 1])
     assert wins(u / u, 5) == [1, 0, 0, 0, 0]
+    assert ZERO / u is ZERO
 
 
 def test_div_rejects_zero_head():
@@ -114,6 +115,24 @@ def test_division_by_scalar_zero_raises_at_the_call():
     for s, zero in [(ZERO, 0), (u, 0), (u, 0.0)]:
         with pytest.raises(ZeroDivisionError, match="series division by zero"):
             s / zero
+
+
+@pytest.mark.parametrize("zero", [Dif.const(0), ZERO_TOWER, Dif.var(0)],
+                         ids=["const", "ZERO_TOWER", "var"])
+@pytest.mark.parametrize("numerator", [Series.from_list([1, 2]),
+                                       Series.from_list([0, 0]), ZERO],
+                         ids=["poly", "zeros", "ZERO"])
+def test_division_by_a_zero_tower_raises_at_the_call(numerator, zero):
+    # A tower divisor follows the rule of a series divisor's head: its
+    # value must be invertible, whatever the numerator.
+    with pytest.raises(ZeroDivisionError, match="series division by zero"):
+        numerator / zero
+
+
+def test_division_by_a_tower_with_nonzero_value():
+    q = Series.from_list([1, 2]) / Dif.var(2.0)
+    assert q.at(0).elements(3) == [0.5, -0.25, 0.25]
+    assert q.at(1).elements(3) == [1.0, -0.5, 0.5]
 
 
 def test_div_roundtrip_property():
@@ -233,6 +252,10 @@ def test_pow_identity_and_geometric():
     assert wins(u.pow(1), 8) == wins(u, 8)
     geo = Series.from_list([1, 1]).pow(-1)
     assert wins(geo, 4) == [1, -1, 1, -1]
+    # Any exponent other than an int >= 0 makes ** the series' pow.
+    v = Series.from_list([4.0, 1.0])
+    half = Fraction(1, 2)
+    assert (v ** half).coefficients(6) == v.pow(half).coefficients(6)
 
 
 def test_pow_inverse_pair_float():

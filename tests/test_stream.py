@@ -71,6 +71,7 @@ def test_map_identity():
 
 def test_map_negate_fibs():
     assert take(4, make_fibs().map(lambda v: -v)) == [0, -1, -1, -2]
+    assert take(4, -make_fibs()) == [0, -1, -1, -2]
 
 
 def test_zip_with_add():
@@ -86,6 +87,7 @@ def test_scale():
     assert take(5, scale(2, make_fibs())) == [0, 2, 2, 4, 6]
     assert take(6, scale(1, make_fibs())) == take(6, make_fibs())
     assert take(3, 2 * make_ones()) == [2, 2, 2]
+    assert take(4, make_fibs() * 3) == take(4, 3 * make_fibs()) == [0, 3, 3, 6]
 
 
 def test_delay():
@@ -123,6 +125,15 @@ def test_take_edge_cases():
 
 def test_repeat():
     assert take(4, repeat(7)) == [7, 7, 7, 7]
+
+
+def test_a_stream_plus_or_minus_a_scalar_is_refused():
+    # Stream sums are elementwise over two streams; a scalar has no
+    # elements, so the operators return NotImplemented and Python raises.
+    with pytest.raises(TypeError):
+        repeat(2) + 1
+    with pytest.raises(TypeError):
+        repeat(2) - 1
 
 
 def test_elementwise_product():
