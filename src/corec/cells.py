@@ -37,10 +37,7 @@ builds. A stream has no rule, so a recurrence's successors cost no Python
 call, and neither do those of a tower recurrence or of a sum of series
 that never end. A head forced where an operand ends leaves the node's
 tail, and its operands, to ``.tail``. Once both cells are forced the node
-drops its operands, so a forced prefix pins no operand nodes. Forcing an
-operand is a plain Python call, which CPython 3.11 runs without C stack,
-so a pointwise chain is limited only by the recursion limit; thunks and
-``defer`` still reach through the properties and use C stack per level.
+drops its operands, so a forced prefix pins no operand nodes.
 
 Products, quotients, integrals and derivatives of series and towers are
 pointwise nodes over a series of indices (``series._indices``): element n
@@ -90,12 +87,27 @@ returned. The only read-ahead is the successor built when a pointwise
 node's head is forced, which allocates a node and forces nothing.
 
 Forcing a cell nests one Python frame or more per level of the cells it
-demands, and every consumer (``.head``, ``.tail``, ``take``, ``at``,
-iteration) forces under the caller's recursion limit. This module never
-changes interpreter state: a definition deeper than the limit raises
-``RecursionError``, whatever consumer reads it and however many elements
-it asks for. To go deeper, force on a thread with a larger stack and raise
-the limit in proportion to that stack, as the CLI does.
+demands, and only Python frames: every recipe that forces further cells
+(a thunk, the two thunks of ``defer``, the tail of an index node, an
+element function) is a Python function that the machine calls directly,
+and the library's algebra reads cells with plain calls to :func:`_head`
+and :func:`_tail`. What the machine reaches through a C callable (a
+``functools.partial`` fill, rule or op, ``operator.add`` of two towers)
+builds nodes and forces none, so it never nests. CPython 3.11-3.13 run
+nested Python calls without C stack, so the recursion limit alone bounds
+the algebra's forcing on all three. A thunk that reads ``.head`` or
+``.tail`` through the property (a user's definition, or one of the
+catalog's, written as a user writes it) uses C stack per level on 3.11;
+3.12 and later inline the property call. One that calls back through a C
+function (``sorted`` with a key, say) does on every version, and from
+3.12 on it also counts against CPython's own C recursion cap.
+
+Every consumer (``.head``, ``.tail``, ``take``, ``at``, iteration) forces
+under the caller's recursion limit. This module never changes interpreter
+state: a definition deeper than the limit raises ``RecursionError``,
+whatever consumer reads it and however many elements it asks for. To go
+deeper, force on a thread with a larger stack and raise the limit in
+proportion to that stack, as the CLI does.
 
 Forced values are retained for as long as the structure is referenced;
 there is no eviction. Forcing is not re-entrant-safe across threads: a
@@ -269,10 +281,19 @@ class LazyPair:
         This is the hook for definitions that mention the structure being
         defined in head position, where ``cons`` cannot be used.
         """
-        # The cell's head is the real node. Its tail is never forced; the
-        # slot keeps fn so that a cycle through this node can name it.
-        cell = LazyPair(fn, fn)
-        return cls(partial(_real_head, cell), partial(_real_tail, cell))
+        # The cell's head is the real node; its tail is never forced. Both
+        # thunks are Python functions, so the machine calls them without a
+        # C frame, and each names fn for a cycle through this node.
+        cell = LazyPair(fn, None)
+
+        def head():
+            return _head(_head(cell))
+
+        def tail():
+            return _tail(_head(cell))
+
+        head.__wrapped__ = tail.__wrapped__ = fn
+        return cls(head, tail)
 
     head = property(_head)
     tail = property(_tail)
@@ -352,14 +373,6 @@ def _elements(node):
         node = node._t if node._ts == _FORCED else _tail(node)
 
 
-def _real_head(cell):
-    return _head(_head(cell))
-
-
-def _real_tail(cell):
-    return _tail(_head(cell))
-
-
 def _cycle(node, part):
     # Built only when a cycle is found, so forcing pays nothing for it.
     return NonProductiveError(
@@ -374,8 +387,7 @@ def _definition(node, part):
         fn = node._ops[0]
     else:
         fn = node._h if part == "head" else node._t
-    if isinstance(fn, partial) and fn.func in (_real_head, _real_tail):
-        fn = fn.args[0]._t
+    fn = getattr(fn, "__wrapped__", fn)
     code = getattr(fn, "__code__", None)
     if code is None:
         return "computing %r" % (fn,)

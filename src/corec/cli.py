@@ -36,7 +36,10 @@ import threading
 _USAGE_EXIT = 1
 _COMPUTE_EXIT = 2
 # The worker thread's stack, and a recursion limit of one frame per KiB of
-# it: a frame of the library's definitions takes at most about 512 bytes.
+# it. The forcing machine and the algebra nest only Python frames, so on
+# CPython 3.11-3.13 the limit alone bounds their depth; the stack is there
+# for a thunk that reads .head/.tail through the property on 3.11, or calls
+# back through a C function, which uses C stack per level.
 _STACK = 64 << 20
 # The names of ``catalog.CATALOG``, sorted, written out so that parsing
 # arguments imports no series code.

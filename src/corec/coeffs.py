@@ -124,10 +124,7 @@ def _common_denominator_dot(xs, ys, weights, start, subtract):
     nums = map(mul, map(_numerator, xs), map(_numerator, ys))
     if weights is not None:
         nums = map(mul, weights, nums)
-    if start is None:
-        common = math.lcm(*dens)
-    else:
-        common = math.lcm(start.denominator, *dens)
+    common = math.lcm(1 if start is None else start.denominator, *dens)
     total = sum(map(mul, nums, map(floordiv, repeat(common), dens)))
     if subtract:
         total = -total
@@ -198,6 +195,8 @@ def scalar_sqrt(x):
 def scalar_pow(x, a):
     if is_exact(x):
         if isinstance(a, (int, Fraction)) and a.denominator == 1:
+            if a < 0 and not x:
+                raise ZeroDivisionError("pow: the value must be nonzero")
             return Fraction(x) ** a
         if x == 1:
             return 1

@@ -41,7 +41,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from operator import add, mul, neg, sub
 
-from .cells import pointwise
+from .cells import _head, _tail, pointwise
 from .coeffs import divide, dot, scalar_cos, scalar_exp, scalar_recip, scalar_sin
 from .series import Analytic, Series, ZERO as SERIES_ZERO, _indices, _power, _Prefix
 
@@ -75,11 +75,11 @@ class Dif(Analytic):
 
     @property
     def value(self):
-        return self.head
+        return _head(self)
 
     def deriv(self) -> "Dif":
         """The derivative tower: element k of the result is element k+1 here."""
-        return self.tail
+        return _tail(self)
 
     _derivation = deriv
 
@@ -311,7 +311,7 @@ def taylor_from_tower(d: Dif) -> Series:
     def go(node, k, fact):
         if node is ZERO_TOWER:
             return SERIES_ZERO
-        return Series(lambda: divide(node.value, fact),
-                      lambda: go(node.tail, k + 1, fact * (k + 1)))
+        return Series(lambda: divide(_head(node), fact),
+                      lambda: go(_tail(node), k + 1, fact * (k + 1)))
 
     return go(d, 0, 1)

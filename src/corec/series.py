@@ -167,7 +167,7 @@ class Series(Analytic):
     @classmethod
     def _solve(cls, value, derivative):
         # W = value + integral(W')
-        return Series.cons(value, lambda: derivative().integral().tail)
+        return Series.cons(value, lambda: _tail(derivative().integral()))
 
     # -- construction ------------------------------------------------
 
@@ -308,7 +308,7 @@ class Series(Analytic):
         u = self
         if u is ZERO:
             return ZERO
-        return Series.defer(lambda: _map(mul, u.tail, _indices(1)))
+        return Series.defer(lambda: _map(mul, _tail(u), _indices(1)))
 
     _derivation = diff
 
@@ -335,8 +335,8 @@ class Series(Analytic):
         def horner(node):
             if node is ZERO:
                 return ZERO
-            return Series(lambda: node.head,
-                          lambda: vbar * horner(node.tail))
+            return Series(lambda: _head(node),
+                          lambda: vbar * horner(_tail(node)))
 
         return horner(self)
 
@@ -396,11 +396,11 @@ def transpose(m: Series) -> Series:
 # the plain 0 read from a ZERO tail, which stands for the compact zero.
 
 def _coeff_head(c):
-    return c.head if isinstance(c, Analytic) else c
+    return _head(c) if isinstance(c, Analytic) else c
 
 
 def _coeff_tail(c):
-    return c.tail if isinstance(c, Analytic) else ZERO
+    return _tail(c) if isinstance(c, Analytic) else ZERO
 
 
 def _coeff_derivation(c):
@@ -462,16 +462,16 @@ def _indices(n, done=None, cls=Series):
     # A map of class cls over them has its successors built by the forcing
     # machine, without a call to its rule. With done, they end in ZERO
     # after the first m for which done(m) is true.
-    return cls.cons(n, partial(_next_index, n, done, cls))
+    def rest(n=n, done=done, cls=cls):
+        # done walks operand tails. Asked here, when a result's tail is
+        # forced, it ends the indices, so the result's rule runs only at its
+        # end and every other successor is built without a call. The
+        # arguments are defaults, not free variables: locals are cheaper.
+        if done is not None and done(n):
+            return ZERO
+        return _indices(n + 1, done, cls)
 
-
-def _next_index(n, done, cls):
-    # done walks operand tails. Asked here, when a result's tail is forced,
-    # it ends the indices, so the result's rule runs only at its end and
-    # every other successor is built without a call.
-    if done is not None and done(n):
-        return ZERO
-    return cls.cons(n + 1, partial(_next_index, n + 1, done, cls))
+    return cls.cons(n, rest)
 
 
 # -- lazy helpers (forcing only happens inside thunks) -------------------

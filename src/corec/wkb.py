@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .dif import Dif
-from .series import Series, _coeff_derivation, _coeff_head
+from .series import _HALF, Series, _coeff_derivation, _coeff_head
 
 __all__ = ["WkbResult", "add_to_tail", "wkb_expand", "airy_s0_prime"]
 
@@ -67,11 +67,14 @@ def wkb_expand(s0_prime: Dif, orders: int) -> WkbResult:
     if not s0_prime.value > 0:
         raise ValueError("wkb_expand: S0' must have a positive value")
 
+    # -1/2 in the domain of S0': a Fraction keeps exact input exact, and a
+    # float keeps float towers off Fraction's arithmetic, which runs in Python.
+    half = -0.5 if isinstance(s0_prime.value, float) else -_HALF
     u = Series.defer(
-        lambda: Series.cons(s0_prime, lambda: v_prime).log().scale(-0.5)
+        lambda: Series.cons(s0_prime, lambda: v_prime).log().scale(half)
     )
     u_prime = u.map(_coeff_derivation)
-    half_over_s0 = -0.5 / s0_prime
+    half_over_s0 = half / s0_prime
     v_prime = Series.defer(
         lambda: (u_prime * u_prime + u_prime.map(_coeff_derivation)
                  + (v_prime * v_prime).shift(1)).scale(half_over_s0)

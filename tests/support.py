@@ -1,12 +1,15 @@
 """Helpers shared by the test modules, imported as ``support``.
 
-Running Python on this checkout's sources in a new interpreter, and the
-partition-number oracle, which uses nothing from corec.
+Running Python on this checkout's sources in a new interpreter, running a
+function on a thread with the CLI's stack and recursion limit, the deep
+definitions that such a thread must read, and the partition-number oracle,
+which uses nothing from corec.
 """
 
 import os
 import subprocess
 import sys
+import threading
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -24,6 +27,50 @@ def run_python(*args):
     its output captured as text. A nonzero exit is returned, not raised."""
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=python_env(), timeout=60, check=False)
+
+
+def on_a_deep_thread(fn):
+    """fn() on a thread with the CLI's stack and recursion limit; both
+    settings are restored afterwards."""
+    from corec.cli import _STACK
+
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    limit = sys.getrecursionlimit()
+    stack = threading.stack_size(_STACK)
+    try:
+        sys.setrecursionlimit(_STACK // 1024)
+        worker = threading.Thread(target=run)
+        worker.start()
+        worker.join()
+    finally:
+        threading.stack_size(stack)
+        sys.setrecursionlimit(limit)
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+def deep_chains(depth):
+    """The head of a chain of ``depth`` nested ``Stream.defer`` maps, which
+    is ``depth``, and the first two coefficients of ``exp x`` times
+    ``depth`` nested factors ``1 + x``, which are ``[1, depth + 1]``.
+    Forcing either nests a few frames per level."""
+    from corec import Series, Stream, repeat
+
+    q = repeat(0)
+    for _ in range(depth):
+        q = Stream.defer(lambda q=q: q.map(lambda x: x + 1))
+    u = Series.from_list([0, 1]).exp()
+    for _ in range(depth):
+        u = u * Series.from_list([1, 1])
+    return q.head, u.take(2)
 
 
 def pentagonal_partitions(limit):

@@ -137,8 +137,11 @@ def test_scalar_functions_float_path():
      "sqrt: the value must be >= 0, not -0.5"),
     (lambda: Dif.const(math.inf).sin(), ValueError,
      "sin: the value must be finite, not inf"),
+    (lambda: scalar_pow(0, -2), ZeroDivisionError, "pow: the value must be nonzero"),
+    (lambda: scalar_pow(0, Fraction(-2)), ZeroDivisionError,
+     "pow: the value must be nonzero"),
 ], ids=["ZERO.recip", "const(0).recip", "var(0.0).log", "const(-2.0).asin",
-        "series.sqrt", "const(inf).sin"])
+        "series.sqrt", "const(inf).sin", "pow(0, -2)", "pow(0, F(-2))"])
 def test_errors_outside_the_domain_name_the_function(build, error, message):
     with pytest.raises(error) as info:
         build()
