@@ -12,15 +12,15 @@ A node is one of two kinds, and one state machine, the functions
 them), forces both:
 
 - a *thunk node* holds a zero-argument thunk for each cell;
-- a *pointwise node* (:func:`pointwise`) holds ``(op, a, b)`` and a tail
-  rule or None. Its head is ``op(a.head, b.head)``. Its tail is the
-  successor, the pointwise node ``(op, a.tail, b.tail)`` with the same
-  rule, which the machine builds itself: inline, without a call, when the
-  head is forced after the operands' tails (as in a recurrence), and with
-  :func:`pointwise` when ``.tail`` comes first. A unary node holds ``(op,
-  a, None)``, so the machine unpacks it without a length test.
-  Elementwise operations (``map``, ``zip_with``, ``+``, ``-``, negation,
-  ``scale``) thus allocate one node per element and no closures.
+- a *pointwise node* (:func:`pointwise`) holds one recipe ``(op, a, b,
+  rule)`` in both cells, with a tail rule or None. Its head is ``op(a.head,
+  b.head)``. Its tail is the successor, the pointwise node ``(op, a.tail,
+  b.tail, rule)``, which the machine builds itself: inline, without a
+  call, when the head is forced after the operands' tails (as in a
+  recurrence), and with :func:`pointwise` when ``.tail`` comes first. A
+  unary node has ``b`` None, so the machine unpacks it without a length
+  test. Elementwise operations (``map``, ``zip_with``, ``+``, ``-``,
+  negation, ``scale``) thus allocate one node per element and no closures.
 
 A tail rule is the end handler of an algebra, and nothing more. It runs
 only at ``.tail``, and only where an operand tail is not exactly of the
@@ -36,8 +36,8 @@ rests: given operand tails of exactly the node's class, it returns
 builds. A stream has no rule, so a recurrence's successors cost no Python
 call, and neither do those of a tower recurrence or of a sum of series
 that never end. A head forced where an operand ends leaves the node's
-tail, and its operands, to ``.tail``. Once both cells are forced the node
-drops its operands, so a forced prefix pins no operand nodes.
+tail, and its operands, to ``.tail``. Forcing a cell overwrites its
+recipe, so a forced prefix pins no operand nodes.
 
 Products, quotients, integrals and derivatives of series and towers are
 pointwise nodes over a series of indices (``series._indices``): element n
@@ -60,9 +60,10 @@ once, as the head thunk of a private cell forced by the same machine.
 and :func:`delayed_run` reads how many fills of such a run are left and
 the node after them, so that only this module knows how a run is laid out.
 
-Each cell moves through three states: unevaluated, in progress, evaluated.
-A definition that is not productive, i.e. one whose cell k transitively
-demands cell k itself, re-enters an in-progress cell. That re-entry raises
+Each cell moves through three states: unevaluated (its state tells a
+thunk from a pointwise recipe), in progress, evaluated. A definition that
+is not productive, i.e. one whose cell k transitively demands cell k
+itself, re-enters an in-progress cell. That re-entry raises
 :class:`NonProductiveError` instead of looping forever. The message names
 where the re-entered node was defined: the file, first line and qualified
 name of its thunk, of the function given to ``defer``, or of a pointwise
@@ -122,9 +123,11 @@ from itertools import islice
 from operator import index
 from sys import maxsize
 
-_UNFORCED = 0
+# Cell states; the two unforced ones name the recipe the cell holds.
+_THUNK = 0
 _FORCING = 1
 _FORCED = 2
+_OPS = 3
 
 
 class NonProductiveError(RuntimeError):
@@ -139,29 +142,24 @@ def _head(node):
     if state == _FORCING:
         raise _cycle(node, "head")
     node._hs = _FORCING
-    ops = node._ops
     try:
-        if ops is None:
+        if state == _THUNK:
             value = node._h()
         else:
             # A forced operand is read from its slot, without a call.
-            op, a, b = ops
+            op, a, b, rule = node._h
             x = a._h if a._hs == _FORCED else _head(a)
             if b is None:
                 value = op(x)
             else:
                 value = op(x, b._h if b._hs == _FORCED else _head(b))
     except BaseException:
-        node._hs = _UNFORCED
+        node._hs = state
         raise
     node._h = value
     node._hs = _FORCED
-    if ops is None:
-        return value
-    state = node._ts
-    if state != _UNFORCED or a._ts != _FORCED or b is not None and b._ts != _FORCED:
-        if state == _FORCED:
-            node._ops = None
+    if (state == _THUNK or node._ts != _OPS or a._ts != _FORCED
+            or b is not None and b._ts != _FORCED):
         return value
     # The successor's operands are at hand: build it now unless, by _tail's
     # test, it needs the rule; where an operand ends, the rule runs at .tail.
@@ -170,19 +168,15 @@ def _head(node):
     # rule is tested first so that a stream pays no class test, and the
     # early returns keep every jump of its path short (no EXTENDED_ARG
     # prefix in CPython 3.11).
-    rule = node._t
     if rule is not None:
         cls = type(node)
         if type(a._t) is not cls or b is not None and type(b._t) is not cls:
             return value
     rest = object.__new__(type(node))
-    rest._hs = _UNFORCED
-    rest._ts = _UNFORCED
-    rest._t = rule
-    rest._ops = (op, a._t, None if b is None else b._t)
+    rest._hs = rest._ts = _OPS
+    rest._h = rest._t = (op, a._t, None if b is None else b._t, rule)
     node._t = rest
     node._ts = _FORCED
-    node._ops = None
     return value
 
 
@@ -194,16 +188,15 @@ def _tail(node):
     if state == _FORCING:
         raise _cycle(node, "tail")
     node._ts = _FORCING
-    ops = node._ops
     try:
-        if ops is None:
+        if state == _THUNK:
             rest = node._t()
         else:
-            op, a, b = ops
+            op, a, b, rule = node._t
             a = a._t if a._ts == _FORCED else _tail(a)
             if b is not None:
                 b = b._t if b._ts == _FORCED else _tail(b)
-            rule, cls = node._t, type(node)
+            cls = type(node)
             if rule is None or type(a) is cls and (b is None or type(b) is cls):
                 rest = pointwise(cls, rule, op, a, b)
             elif b is None:
@@ -211,12 +204,10 @@ def _tail(node):
             else:
                 rest = rule(op, a, b)
     except BaseException:
-        node._ts = _UNFORCED
+        node._ts = state
         raise
     node._t = rest
     node._ts = _FORCED
-    if node._hs == _FORCED:
-        node._ops = None
     return rest
 
 
@@ -230,30 +221,27 @@ def pointwise(cls, rule, op, a, b=None):
     to take; given tails of class ``cls``, it must return ``pointwise(cls,
     rule, op, a.tail, b.tail)``."""
     node = cls.__new__(cls)
-    node._hs = _UNFORCED
-    node._ts = _UNFORCED
-    node._t = rule
-    node._ops = (op, a, b)
+    node._hs = node._ts = _OPS
+    node._h = node._t = (op, a, b, rule)
     return node
 
 
 class LazyPair:
     """Base for head/tail structures built from guarded memoized cells.
 
-    ``_h``/``_t`` hold the head and tail once forced. Before that, a thunk
-    node (``_ops is None``) keeps a zero-argument thunk in each; a
-    pointwise node keeps its operands ``(op, a, b)`` (``b`` None for a
-    unary op) in ``_ops`` and its tail rule, or None, in ``_t``.
+    ``_h``/``_t`` hold the head and tail once forced, ``_hs``/``_ts``
+    their states. Before that, a thunk node keeps a zero-argument thunk in
+    each; a pointwise node keeps its recipe ``(op, a, b, rule)`` in both.
+    Four slots and no ``__dict__``: 64 bytes a node on 64-bit CPython.
     """
 
-    __slots__ = ("_hs", "_h", "_ts", "_t", "_ops")
+    __slots__ = ("_hs", "_h", "_ts", "_t")
 
     def __init__(self, head, tail):
-        self._hs = _UNFORCED
+        self._hs = _THUNK
         self._h = head
-        self._ts = _UNFORCED
+        self._ts = _THUNK
         self._t = tail
-        self._ops = None
 
     @classmethod
     def cons(cls, value, tail):
@@ -262,11 +250,10 @@ class LazyPair:
         node._hs = _FORCED
         node._h = value
         if callable(tail):
-            node._ts = _UNFORCED
+            node._ts = _THUNK
         else:
             node._ts = _FORCED
         node._t = tail
-        node._ops = None
         return node
 
     @classmethod
@@ -358,7 +345,7 @@ def delayed_run(node, fill):
     ``k`` copies of ``fill`` and then ``rest``, none past ``node`` built
     yet. Otherwise, and once ``node``'s tail is forced, None."""
     rest = node._t
-    if node._ts == _UNFORCED and type(rest) is partial and rest.func is _delayed:
+    if node._ts == _THUNK and type(rest) is partial and rest.func is _delayed:
         _, m, rest, f = rest.args
         if f is fill:
             return m + 1, rest
@@ -383,10 +370,9 @@ def _cycle(node, part):
 
 def _definition(node, part):
     # Where the recipe of the in-progress cell was written.
-    if node._ops is not None:
-        fn = node._ops[0]
-    else:
-        fn = node._h if part == "head" else node._t
+    fn = node._h if part == "head" else node._t
+    if type(fn) is tuple:
+        fn = fn[0]
     fn = getattr(fn, "__wrapped__", fn)
     code = getattr(fn, "__code__", None)
     if code is None:

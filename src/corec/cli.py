@@ -28,6 +28,7 @@ needs, after its own argument checks.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -234,9 +235,13 @@ def main(argv=None) -> int:
     """Parse ``argv`` here, then run the command on one worker thread.
 
     The worker has a ``_STACK``-byte stack, a recursion limit derived from
-    it and no limit on the digits of printed ints; all three are restored
-    when it ends. This thread only waits, so it never forces under the
-    raised limit. An exception the CLI does not map is raised again here.
+    it and no limit on the digits of printed ints, and runs with the cyclic
+    garbage collector off; all four are restored when it ends. What a
+    command builds, its self-references included, stays live until the
+    command ends, so the collector would only walk every forced node again
+    and again; reference counting frees what the command drops. This
+    thread only waits, so it never forces under the raised limit. An
+    exception the CLI does not map is raised again here.
     """
     args = _build_parser().parse_args(argv)
     outcome = [0]
@@ -263,10 +268,12 @@ def main(argv=None) -> int:
             outcome[0] = exc
 
     limit, digits = sys.getrecursionlimit(), sys.get_int_max_str_digits()
+    collecting = gc.isenabled()
     stack = threading.stack_size(_STACK)
     try:
         sys.setrecursionlimit(_STACK // 1024)
         sys.set_int_max_str_digits(0)
+        gc.disable()
         worker = threading.Thread(target=work, daemon=True)
         worker.start()
         worker.join()
@@ -274,6 +281,8 @@ def main(argv=None) -> int:
         threading.stack_size(stack)
         sys.setrecursionlimit(limit)
         sys.set_int_max_str_digits(digits)
+        if collecting:
+            gc.enable()
     if isinstance(outcome[0], BaseException):
         raise outcome[0]
     return outcome[0]

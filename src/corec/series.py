@@ -122,8 +122,10 @@ class Analytic(LazyPair):
 
     def sqrt(self):
         self._nonzero("sqrt")
-        return self._define(scalar_sqrt(self.head),
-                            lambda da, w: (da / w) * _HALF)
+        value = scalar_sqrt(self.head)
+        # A float half keeps a float root off Fraction.__mul__ (Python code).
+        half = 0.5 if isinstance(value, float) else _HALF
+        return self._define(value, lambda da, w: (da / w) * half)
 
     def pow(self, e):
         """self ** e for a scalar exponent ``e``."""

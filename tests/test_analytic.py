@@ -40,6 +40,27 @@ def test_sqrt_and_pow_need_a_nonzero_value():
             zero.pow(Fraction(1, 2))
 
 
+def test_a_float_sqrt_halves_by_a_float_with_the_same_values():
+    # The root's derivative is (a' / w) / 2; a Fraction half gives the
+    # same floats, since float * Fraction(1, 2) is float * 0.5.
+    x = Dif.var(1.3)
+    w = x.sqrt()
+    with_fraction = x._define(math.sqrt(1.3),
+                              lambda da, v: (da / v) * Fraction(1, 2))
+    got = w.take(60)
+    assert [type(v) for v in got] == [float] * 60
+    assert got == with_fraction.take(60)
+
+
+def test_an_exact_sqrt_stays_exact():
+    assert Dif.var(Fraction(4)).sqrt().take(5) == [
+        2, Fraction(1, 4), Fraction(-1, 32), Fraction(3, 256), Fraction(-15, 2048)]
+    assert Series.from_list([4, 1]).sqrt().take(4) == [
+        2, Fraction(1, 4), Fraction(-1, 64), Fraction(1, 512)]
+    for root in (Dif.var(Fraction(4)).sqrt(), Series.from_list([4, 1]).sqrt()):
+        assert {type(v) for v in root.take(20)} == {Fraction}
+
+
 def test_compact_constants_stay_compact():
     c = Dif.const(0.5).atan()
     assert c.tail.tail is c.tail  # the shared all-zero tail

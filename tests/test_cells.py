@@ -168,8 +168,21 @@ def test_a_rule_maps_same_class_tails_to_the_node_the_machine_builds(cls, rule,
         for b in (nodes if arity == 2 else [None]):
             node = rule(op, a) if b is None else rule(op, a, b)
             assert type(node) is cls
-            assert node._t is rule
-            assert node._ops == (op, a, b)
+            # Each cell holds the recipe (op, a, b, rule) until it is forced.
+            assert node._h == node._t == (op, a, b, rule)
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython" or sys.maxsize < 2**32,
+                    reason="the node size is that of 64-bit CPython")
+def test_a_node_has_four_slots_and_no_dict():
+    # Four 8-byte slots after the object and GC headers: one 64-byte
+    # pymalloc block a node, where a fifth slot takes an 80-byte one.
+    nodes = [repeat(1), zip_with(add, repeat(1), repeat(2)),
+             Series.from_list([1, 2]), Series.from_list([1]) * Series.from_list([2]),
+             ZERO, Dif.var(2.0), Dif.var(2.0) * 3, Dif.const(1), ZERO_TOWER]
+    for node in nodes:
+        assert sys.getsizeof(node) == 64, type(node)
+        assert not hasattr(node, "__dict__"), type(node)
 
 
 @pytest.mark.parametrize("head_first", [False, True])

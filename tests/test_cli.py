@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import math
@@ -373,7 +374,7 @@ def test_a_deep_thunk_chain_gives_a_value_or_exit_2(depth, code):
 
 def _settings():
     return (sys.getrecursionlimit(), threading.stack_size(),
-            sys.get_int_max_str_digits())
+            sys.get_int_max_str_digits(), gc.isenabled(), gc.get_threshold())
 
 
 def test_main_leaves_the_interpreter_settings_as_they_were(monkeypatch, capsys):
@@ -386,15 +387,31 @@ def test_main_leaves_the_interpreter_settings_as_they_were(monkeypatch, capsys):
 
     def runner(args):
         seen.append((threading.current_thread() is threading.main_thread(),
-                     sys.getrecursionlimit(), sys.get_int_max_str_digits()))
+                     sys.getrecursionlimit(), sys.get_int_max_str_digits(),
+                     gc.isenabled()))
         raise KeyError("unmapped")
 
     monkeypatch.setitem(cli._RUNNERS, "series", runner)
     with pytest.raises(KeyError, match="unmapped"):
         main(["series", "fibs"])
     assert _settings() == before
-    # The command ran on the worker, under the limits derived for it.
-    assert seen == [(False, cli._STACK // 1024, 0)]
+    # The command ran on the worker, under the limits derived for it and
+    # with the cyclic collector off.
+    assert seen == [(False, cli._STACK // 1024, 0, False)]
+    capsys.readouterr()
+
+
+def test_main_leaves_the_collector_off_if_it_was_off(capsys):
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        assert main(["series", "fibs", "--n", "3"]) == 0
+        assert not gc.isenabled()
+        assert main(["series", "fibs", "--n", "-1"]) == 2
+        assert not gc.isenabled()
+    finally:
+        if collecting:
+            gc.enable()
     capsys.readouterr()
 
 
