@@ -17,7 +17,10 @@ are dispatched to their own methods, which both inherit from
 :func:`dot` is the one kernel behind every series product and quotient and
 every Leibniz sum of a derivative tower: a fold of weighted products in
 the order its caller gives, which puts exact terms over one common
-denominator.
+denominator. :func:`divide` is the one exact-division rule: ``int / int``
+is a ``Fraction`` and anything else divides as ``/`` does. Series divided
+by a scalar, :func:`scalar_recip`, integrals and quotients all use it.
+``_HALF``, the exact 1/2, is defined here too.
 """
 
 from __future__ import annotations
@@ -75,6 +78,9 @@ def divide(x, y):
     if isinstance(x, int) and isinstance(y, int):
         return Fraction(x, y)
     return x / y
+
+
+_HALF = Fraction(1, 2)
 
 
 _EXACT_TYPES = {int, Fraction}
@@ -201,18 +207,14 @@ def scalar_pow(x, a):
         if x == 1:
             return 1
         raise ValueError("non-integer power of an exact value is irrational")
-    # An int power keeps ``**``, which series and towers both repeat as
-    # products and so allow a zero value; other powers are their own pow.
-    if not isinstance(a, int) and hasattr(x, "pow"):
-        return x.pow(a)
+    # Series and towers repeat an int power >= 0 as products, so a zero
+    # value is allowed; every other power is their own pow.
     return x ** a
 
 
 def scalar_recip(x):
-    if is_exact(x):
-        if not x:
-            raise ZeroDivisionError("recip: the value must be nonzero")
-        return Fraction(1, x) if isinstance(x, int) else 1 / x
     if hasattr(x, "recip"):
         return x.recip()
-    return 1.0 / x
+    if not x:
+        raise ZeroDivisionError("recip: the value must be nonzero")
+    return divide(1, x)

@@ -18,13 +18,10 @@ gamma-series of J^(n-1) coefficients. Everything is exact rational.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
+from .coeffs import _HALF
 from .series import Series, _coeff_derivation, transpose
 
 __all__ = ["dyson_schwinger", "greens", "parity_check"]
-
-_HALF = Fraction(1, 2)
 
 
 def dyson_schwinger() -> Series:

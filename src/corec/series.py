@@ -65,8 +65,6 @@ from .coeffs import (
 
 __all__ = ["Analytic", "Series", "ZERO", "sint", "transpose"]
 
-_HALF = Fraction(1, 2)
-
 
 def _invertible(c):
     # Derivative towers are invertible iff their value is; plain
@@ -122,10 +120,8 @@ class Analytic(LazyPair):
 
     def sqrt(self):
         self._nonzero("sqrt")
-        value = scalar_sqrt(self.head)
-        # A float half keeps a float root off Fraction.__mul__ (Python code).
-        half = 0.5 if isinstance(value, float) else _HALF
-        return self._define(value, lambda da, w: (da / w) * half)
+        # w' = a'/(2w), with 2w as w + w: doubling is exact in every domain.
+        return self._define(scalar_sqrt(self.head), lambda da, w: da / (w + w))
 
     def pow(self, e):
         """self ** e for a scalar exponent ``e``."""
@@ -294,8 +290,7 @@ class Series(Analytic):
             return w
         if not _invertible(other):
             raise ZeroDivisionError("series division by zero")
-        c = Fraction(other) if isinstance(other, int) else other
-        return self.map(lambda x: x / c)
+        return _map(lambda x: divide(x, other), self)
 
     def __rtruediv__(self, other):
         return Series.cons(other, ZERO) / self

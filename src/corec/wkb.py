@@ -29,8 +29,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .coeffs import _HALF
 from .dif import Dif
-from .series import _HALF, Series, _coeff_derivation, _coeff_head
+from .series import Series, _coeff_derivation, _coeff_head
 
 __all__ = ["WkbResult", "add_to_tail", "wkb_expand", "airy_s0_prime"]
 

@@ -41,8 +41,8 @@ def test_sqrt_and_pow_need_a_nonzero_value():
 
 
 def test_a_float_sqrt_halves_by_a_float_with_the_same_values():
-    # The root's derivative is (a' / w) / 2; a Fraction half gives the
-    # same floats, since float * Fraction(1, 2) is float * 0.5.
+    # The root's derivative is a'/(2w); halving by a Fraction gives the
+    # same floats, since doubling and halving are exact for floats.
     x = Dif.var(1.3)
     w = x.sqrt()
     with_fraction = x._define(math.sqrt(1.3),

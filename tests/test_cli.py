@@ -122,6 +122,15 @@ def test_a_count_past_sys_maxsize_names_the_command_and_option(capsys, argv, mes
     assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["lambertw", "--n", "-1"], "lambertw: --n must be >= 0"),
+    (["qft", "--g", "2", "--order", "-1"], "greens: order must be >= 0"),
+    (["wkb", "--x0", "1.3", "--orders", "0"], "wkb_expand: orders must be >= 1"),
+], ids=["lambertw", "qft", "wkb"])
+def test_a_negative_count_names_the_function_that_refuses_it(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
+
+
 def test_deterministic_stdout(capsys):
     _, first, _ = run(capsys, "qft", "--g", "2", "--order", "10")
     _, second, _ = run(capsys, "qft", "--g", "2", "--order", "10")

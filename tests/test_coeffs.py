@@ -140,8 +140,19 @@ def test_scalar_functions_float_path():
     (lambda: scalar_pow(0, -2), ZeroDivisionError, "pow: the value must be nonzero"),
     (lambda: scalar_pow(0, Fraction(-2)), ZeroDivisionError,
      "pow: the value must be nonzero"),
+    (lambda: Dif.var(0.0).recip(), ZeroDivisionError,
+     "recip: the value must be nonzero"),
+    (lambda: Series.from_list([0.0, 1.0]).recip(), ZeroDivisionError,
+     "recip: the value must be nonzero"),
+    (lambda: scalar_sqrt(Fraction(-4)), ValueError, "sqrt: negative exact value"),
+    (lambda: scalar_pow(Fraction(2), Fraction(1, 2)), ValueError,
+     "non-integer power of an exact value is irrational"),
+    (lambda: Series.from_list([1]).compose(3), TypeError,
+     "compose expects a Series argument"),
 ], ids=["ZERO.recip", "const(0).recip", "var(0.0).log", "const(-2.0).asin",
-        "series.sqrt", "const(inf).sin", "pow(0, -2)", "pow(0, F(-2))"])
+        "series.sqrt", "const(inf).sin", "pow(0, -2)", "pow(0, F(-2))",
+        "var(0.0).recip", "series(0.0).recip", "sqrt(F(-4))", "pow(F(2), F(1, 2))",
+        "compose(3)"])
 def test_errors_outside_the_domain_name_the_function(build, error, message):
     with pytest.raises(error) as info:
         build()

@@ -148,6 +148,10 @@ def test_div_roundtrip_property():
 def test_scalar_division_stays_exact():
     q = Series.from_list([1, 2, 3]) / 2
     assert q.coefficients(3) == [Fraction(1, 2), 1, Fraction(3, 2)]
+    # Float coefficients divided by an int stay floats.
+    f = (Series.from_list([1.5, 0.7]) / 3).take(3)
+    assert f == [0.5, 0.7 / 3, 0]
+    assert [type(x) for x in f[:2]] == [float, float]
 
 
 def test_ring_laws_to_order_16():
