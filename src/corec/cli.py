@@ -42,6 +42,7 @@ _COMPUTE_EXIT = 2
 # for a thunk that reads .head/.tail through the property on 3.11, or calls
 # back through a C function, which uses C stack per level.
 _STACK = 64 << 20
+_LIMIT = _STACK // 1024
 # The names of ``catalog.CATALOG``, sorted, written out so that parsing
 # arguments imports no series code.
 _SERIES_NAMES = ("bessel", "exp-demo", "fibs", "integs", "partitions",
@@ -166,16 +167,9 @@ def _run_qft(args) -> None:
     _at_most(args.order, "qft: --order", sys.maxsize - 1)
     from itertools import islice
 
-    from .qft import greens
+    from .qft import _order, greens
 
     _write([islice(greens(args.g), _order(args.order) + 1)], ("value",))
-
-
-def _order(order) -> int:
-    """``order``, refused below 0 as ``greens(n, order)`` refuses it."""
-    if order < 0:
-        raise ValueError("greens: order must be >= 0")
-    return order
 
 
 def _run_wkb(args) -> None:
@@ -234,8 +228,8 @@ _RUNNERS = {
 def main(argv=None) -> int:
     """Parse ``argv`` here, then run the command on one worker thread.
 
-    The worker has a ``_STACK``-byte stack, a recursion limit derived from
-    it and no limit on the digits of printed ints, and runs with the cyclic
+    The worker has a ``_STACK``-byte stack, a recursion limit of ``_LIMIT``
+    and no limit on the digits of printed ints, and runs with the cyclic
     garbage collector off; all four are restored when it ends. What a
     command builds, its self-references included, stays live until the
     command ends, so the collector would only walk every forced node again
@@ -271,7 +265,7 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     stack = threading.stack_size(_STACK)
     try:
-        sys.setrecursionlimit(_STACK // 1024)
+        sys.setrecursionlimit(_LIMIT)
         sys.set_int_max_str_digits(0)
         gc.disable()
         worker = threading.Thread(target=work, daemon=True)

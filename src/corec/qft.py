@@ -50,10 +50,15 @@ def greens(n: int, order: int | None = None) -> Series:
         raise ValueError("greens: n must be >= 2")
     row = transpose(dyson_schwinger()).at(n - 1)
     if order is not None:
-        if order < 0:
-            raise ValueError("greens: order must be >= 0")
-        row.take(order + 1)
+        row.take(_order(order) + 1)
     return row
+
+
+def _order(order: int) -> int:
+    """``order``, refused below 0 by the name of :func:`greens`."""
+    if order < 0:
+        raise ValueError("greens: order must be >= 0")
+    return order
 
 
 def parity_check(max_order: int) -> bool:

@@ -32,7 +32,7 @@ def run_python(*args):
 def on_a_deep_thread(fn):
     """fn() on a thread with the CLI's stack and recursion limit; both
     settings are restored afterwards."""
-    from corec.cli import _STACK
+    from corec.cli import _LIMIT, _STACK
 
     outcome = {}
 
@@ -45,7 +45,7 @@ def on_a_deep_thread(fn):
     limit = sys.getrecursionlimit()
     stack = threading.stack_size(_STACK)
     try:
-        sys.setrecursionlimit(_STACK // 1024)
+        sys.setrecursionlimit(_LIMIT)
         worker = threading.Thread(target=run)
         worker.start()
         worker.join()
@@ -57,11 +57,9 @@ def on_a_deep_thread(fn):
     return outcome["value"]
 
 
-def deep_chains(depth):
-    """The head of a chain of ``depth`` nested ``Stream.defer`` maps, which
-    is ``depth``, and the first two coefficients of ``exp x`` times
-    ``depth`` nested factors ``1 + x``, which are ``[1, depth + 1]``.
-    Forcing either nests a few frames per level."""
+def deep_structures(depth):
+    """A chain ``q`` of ``depth`` nested ``Stream.defer`` maps and ``u``,
+    ``exp x`` times ``depth`` nested factors ``1 + x``; nothing is forced."""
     from corec import Series, Stream, repeat
 
     q = repeat(0)
@@ -70,6 +68,14 @@ def deep_chains(depth):
     u = Series.from_list([0, 1]).exp()
     for _ in range(depth):
         u = u * Series.from_list([1, 1])
+    return q, u
+
+
+def deep_chains(depth):
+    """The head of :func:`deep_structures`' chain, which is ``depth``, and
+    the first two coefficients of its product, which are ``[1, depth + 1]``.
+    Forcing either nests a few frames per level."""
+    q, u = deep_structures(depth)
     return q.head, u.take(2)
 
 

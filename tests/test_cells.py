@@ -245,25 +245,29 @@ def test_deep_pointwise_chains_force_their_head_without_a_crash():
 def test_a_deep_defer_chain_and_deep_products_read_under_the_cli_settings():
     # The machine calls defer's thunks and every index tail as Python
     # functions, so the recursion limit alone bounds these depths, on
-    # CPython 3.12 and 3.13 as on 3.11. The CI smoke job runs the same check
-    # there, where a C frame per level would exceed the C recursion cap.
+    # CPython 3.12 and 3.13 as on 3.11. CI runs it on all three; from 3.12
+    # on, a C frame per level would exceed the C recursion cap.
     assert on_a_deep_thread(lambda: deep_chains(10_000)) == (10_000, [1, 10_001])
 
 
 def test_deep_defer_chains_and_products_nest_no_c_frame():
-    # 20,000 levels of each on a 256 KiB thread stack: a C frame per level,
-    # such as a functools.partial between the machine and a recipe, would
-    # overflow it and crash the process.
+    # 20,000 levels of each forced on a 256 KiB thread stack: a C frame per
+    # level, such as a functools.partial between the machine and a recipe,
+    # would overflow it and crash the process. Only the forcing runs there:
+    # CPython 3.13 frees a chain this deep with nested C calls, so the
+    # structures are built and freed on the main thread.
     script = (
         "import sys, threading\n"
         "sys.path.insert(0, %r)\n"
-        "from support import deep_chains\n"
+        "from support import deep_structures\n"
+        "q, u = deep_structures(20_000)\n"
         "sys.setrecursionlimit(1_000_000)\n"
         "threading.stack_size(256 << 10)\n"
         "out = []\n"
-        "worker = threading.Thread(target=lambda: out.append(deep_chains(20_000)))\n"
+        "worker = threading.Thread(target=lambda: out.append((q.head, u.take(2))))\n"
         "worker.start()\n"
         "worker.join()\n"
+        "del q, u\n"
         "print(out)\n"
     ) % os.path.dirname(os.path.abspath(__file__))
     proc = run_python("-c", script)
