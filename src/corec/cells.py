@@ -15,12 +15,13 @@ them), forces both:
 - a *pointwise node* (:func:`pointwise`) holds one recipe ``(op, a, b,
   rule)`` in both cells, with a tail rule or None. Its head is ``op(a.head,
   b.head)``. Its tail is the successor, the pointwise node ``(op, a.tail,
-  b.tail, rule)``, which the machine builds itself: inline, without a
-  call, when the head is forced after the operands' tails (as in a
-  recurrence), and with :func:`pointwise` when ``.tail`` comes first. A
-  unary node has ``b`` None, so the machine unpacks it without a length
-  test. Elementwise operations (``map``, ``zip_with``, ``+``, ``-``,
-  negation, ``scale``) thus allocate one node per element and no closures.
+  b.tail, rule)``, which the machine builds itself, inline and without a
+  call: at ``.head`` when the head is forced after the operands' tails
+  (as in a recurrence), and at ``.tail`` when that comes first (as
+  ``series._Prefix`` reads a product's operands). A unary node has ``b``
+  None, so the machine unpacks it without a length test. Elementwise
+  operations (``map``, ``zip_with``, ``+``, ``-``, negation, ``scale``)
+  thus allocate one node per element and no closures.
 
 A tail rule is the end handler of an algebra, and nothing more. It runs
 only at ``.tail``, and only where an operand tail is not exactly of the
@@ -80,7 +81,9 @@ only exception: ``ZERO`` and the tower constants (``Dif.const``,
 ``ZERO_TOWER``) are subclasses built by :meth:`LazyPair.cons` that share
 one all-zero tail and override ``_define``, so that a function of a
 constant stays compact. Outside this module, only the self-tails of
-``ZERO`` and ``ZERO_TOWER`` write a slot.
+``ZERO`` and ``ZERO_TOWER`` write a slot, and ``series._passing``, the one
+rule that runs at every node of its run, builds its node inline as the
+machine does.
 
 ``take``, ``at`` and iteration read through one walker: ``n`` elements
 force ``n`` heads and ``n - 1`` tails, never a cell past the last element
@@ -198,7 +201,11 @@ def _tail(node):
                 b = b._t if b._ts == _FORCED else _tail(b)
             cls = type(node)
             if rule is None or type(a) is cls and (b is None or type(b) is cls):
-                rest = pointwise(cls, rule, op, a, b)
+                # pointwise() inline, as in _head: a series operand read
+                # tails first (a product's, by _Prefix) builds each here.
+                rest = object.__new__(cls)
+                rest._hs = rest._ts = _OPS
+                rest._h = rest._t = (op, a, b, rule)
             elif b is None:
                 rest = rule(op, a)
             else:
@@ -214,12 +221,14 @@ def _tail(node):
 def pointwise(cls, rule, op, a, b=None):
     """A ``cls`` node whose head is ``op(a.head)``, or ``op(a.head,
     b.head)`` with ``b``. Its tail is the same node over the operands'
-    tails, built by the forcing machine, except where an operand tail is
-    not exactly of class ``cls``: there it is ``rule(op, a.tail)``, or
-    ``rule(op, a.tail, b.tail)``, called only when ``.tail`` is read. The
-    rule is the end handler, given only where the algebra has a short-cut
-    to take; given tails of class ``cls``, it must return ``pointwise(cls,
-    rule, op, a.tail, b.tail)``."""
+    tails, which the forcing machine builds inline, at ``.head`` or at
+    ``.tail``, without calling this function; it is the algebra's
+    constructor of a first node. Where an operand tail is not exactly of
+    class ``cls``, the tail is ``rule(op, a.tail)``, or ``rule(op, a.tail,
+    b.tail)``, called only when ``.tail`` is read. The rule is the end
+    handler, given only where the algebra has a short-cut to take; given
+    tails of class ``cls``, it must return ``pointwise(cls, rule, op,
+    a.tail, b.tail)``."""
     node = cls.__new__(cls)
     node._hs = node._ts = _OPS
     node._h = node._t = (op, a, b, rule)

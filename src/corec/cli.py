@@ -13,12 +13,13 @@ Exit status: 0 on success, 1 on a usage error, 2 on a computation error
 (domain violations, non-productive definitions, I/O failures, floats
 that leave the float range, definitions too deep for the recursion limit,
 running out of memory). Identical invocations produce byte-identical
-output. ``series`` and ``qft`` print each line as it is formatted; an
-error after the first line leaves the lines printed, writes one
-``error:`` line and exits 2. ``lambertw`` and ``wkb`` print nothing if a
-value is not a finite float. A reader that closes standard output early
-(``corec series fibs --n 3000 | head -n 2``) ends the command quietly
-with exit status 0: what is left unprinted is dropped.
+output. ``series`` and ``qft`` print each line as it is formatted, and
+``qft`` flushes each, so its rows reach a pipe at once; an error after
+the first line leaves the lines printed, writes one ``error:`` line and
+exits 2. ``lambertw`` and ``wkb`` print nothing if a value is not a
+finite float. A reader that closes standard output early (``corec series
+fibs --n 3000 | head -n 2``) ends the command quietly with exit status 0:
+what is left unprinted is dropped.
 
 Parsing the arguments imports no library module, so ``--help`` and
 usage errors import none. Each runner imports the modules its command
@@ -118,19 +119,21 @@ def _finite(values, name="element") -> list:
     return values
 
 
-def _write(columns, names=None) -> None:
+def _write(columns, names=None, flush=False) -> None:
     """Print one line per row of ``columns``, as soon as it is formatted.
 
     The columns are iterables read in step. With ``names`` the output is
     CSV: a header of ``index`` and the names, then the row index and the
     values on each line. An error while iterating ends the output there;
-    the lines already printed stay.
+    the lines already printed stay. A pipe buffers standard output in
+    blocks; with ``flush`` each line is flushed, so that it reaches the
+    reader before the next row is computed.
     """
     if names:
         print(",".join(("index",) + names))
     for k, row in enumerate(zip(*columns)):
         text = ",".join(map(str, row))
-        print("%d,%s" % (k, text) if names else text)
+        print("%d,%s" % (k, text) if names else text, flush=flush)
 
 
 def _at_most(value, name, most=sys.maxsize) -> None:
@@ -162,14 +165,17 @@ def _run_lambertw(args) -> None:
 
 
 def _run_qft(args) -> None:
-    # It prints order + 1 values, each computed as it is printed. The order
-    # is checked after greens has checked n, as greens(n, order) does.
+    # It prints order + 1 values, each computed as it is printed and flushed:
+    # a row costs more the higher its order, so a reader of a pipe would
+    # otherwise wait for a block of them. The order is checked after greens
+    # has checked n, as greens(n, order) does.
     _at_most(args.order, "qft: --order", sys.maxsize - 1)
     from itertools import islice
 
     from .qft import _order, greens
 
-    _write([islice(greens(args.g), _order(args.order) + 1)], ("value",))
+    _write([islice(greens(args.g), _order(args.order) + 1)], ("value",),
+           flush=True)
 
 
 def _run_wkb(args) -> None:

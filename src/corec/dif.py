@@ -278,17 +278,27 @@ def damped_sine(x: Dif) -> Dif:
     """Tower of sin(x) * exp(-x) for a variable tower ``x`` (derivative 1).
 
     Sine and cosine generate the same terms with alternating signs, so a
-    coupled pair of linear co-recursions produces element n in O(1) work
-    from element n-1, with no binomial weights. It therefore costs O(n)
-    for n elements, against O(n^2) for ``x.sin() * (-x).exp()``, and
-    reaches elements past n = 1030, where the weights of that product
-    overflow a float.
+    coupled pair of linear co-recursions, p' = q - p and q' = -p - q,
+    produces element n in O(1) work from element n-1, with no binomial
+    weights. It therefore costs O(n) for n elements, against O(n^2) for
+    ``x.sin() * (-x).exp()``, and reaches elements past n = 1030, where the
+    weights of that product overflow a float. Each step of the pair is one
+    rule-less pointwise node, so a derivative costs two nodes, whose
+    successors the forcing machine builds, and the values are those of
+    ``q - p`` and ``-p - q`` bit for bit.
     """
     x0 = x.value
     decay = scalar_exp(-x0)
-    p = Dif.cons(scalar_sin(x0) * decay, lambda: q - p)
-    q = Dif.cons(scalar_cos(x0) * decay, lambda: -p - q)
+    p = Dif.cons(scalar_sin(x0) * decay,
+                 lambda: pointwise(Dif, None, sub, q, p))
+    q = Dif.cons(scalar_cos(x0) * decay,
+                 lambda: pointwise(Dif, None, _negated_sum, p, q))
     return p
+
+
+def _negated_sum(a, b):
+    # -a - b, the two float operations of ``-p - q`` in the same order.
+    return -a - b
 
 
 def lambert_w_tower() -> Dif:

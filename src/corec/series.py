@@ -48,7 +48,8 @@ from functools import partial
 from operator import add, mul, neg, sub
 from typing import Callable
 
-from .cells import LazyPair, _head, _tail, delayed_run, pointwise
+from .cells import (_FORCED, _OPS, LazyPair, _head, _tail, delayed_run,
+                    pointwise)
 from .coeffs import (
     divide,
     dot,
@@ -428,11 +429,11 @@ class _Prefix:
         values, node = self._values, self._node
         while len(values) <= n and len(values) != self._end:
             if values:
-                node = _tail(node)
+                node = node._t if node._ts == _FORCED else _tail(node)
                 if node is ZERO:
                     self._end = len(values)
                     break
-            values.append(_head(node))
+            values.append(node._h if node._hs == _FORCED else _head(node))
             self._node = node
         if len(values) > self._reach + 1:
             self._far, self._reach = self._node, len(values) - 1
@@ -444,7 +445,7 @@ class _Prefix:
         an element."""
         node, k = self._far, self._reach
         while self._end is None and k < limit:
-            node = _tail(node)
+            node = node._t if node._ts == _FORCED else _tail(node)
             k += 1
             if node is ZERO:
                 self._end = k
@@ -510,8 +511,13 @@ def _zip(op, u, v):
 
 def _passing(k, p, op, u, zero):
     # The tail rule of a pass-through node with k zeros left, this one's too.
+    # The next pass-through node is pointwise(Series, ...) inline, as the
+    # forcing machine builds a successor: this rule runs at every node.
     if k == 1:
         return _zip(op, u, p)
     if u is ZERO:
         return _zip(op, u, Series.delayed(k - 1, p, 0))
-    return pointwise(Series, partial(_passing, k - 1, p), op, u, ZERO)
+    node = object.__new__(Series)
+    node._hs = node._ts = _OPS
+    node._h = node._t = (op, u, ZERO, partial(_passing, k - 1, p))
+    return node

@@ -10,13 +10,15 @@ from operator import add, sub
 
 import pytest
 
-from corec import dif, series
+from corec import cells, dif, series
+from corec.catalog import partitions
 from corec.cells import NonProductiveError, pointwise
 from corec.dif import Dif, ZERO_TOWER, _Const, damped_sine
-from corec.series import Series, ZERO
+from corec.series import Series, ZERO, _Prefix
 from corec.stream import Stream, defer, repeat, zip_with
 
-from support import deep_chains, on_a_deep_thread, run_python
+from support import (deep_chains, on_a_deep_thread, pentagonal_partitions,
+                     run_python)
 
 
 class _Tracked(Stream):
@@ -109,15 +111,54 @@ def _counted(monkeypatch, module, name):
 
 
 def test_the_machine_builds_a_tower_recurrences_successors(monkeypatch):
-    # damped_sine is q - p and -p - q over Dif nodes, which never end: each
-    # rule runs at most once, to build a node, and never for a successor.
+    # damped_sine's steps are rule-less Dif nodes, which never end: no
+    # rule of the tower algebra runs, to build a node or a successor.
     calls = [_counted(monkeypatch, dif, name) for name in ("_zip", "_map")]
     values = damped_sine(Dif.var(0.4)).take(500)
     # sin(x) exp(-x) is the imaginary part of exp((i - 1) x).
     for n in (1, 2, 499):
         want = ((1j - 1) ** n * cmath.exp((1j - 1) * 0.4)).imag
         assert values[n] == pytest.approx(want, rel=1e-9)
-    assert all(len(c) <= 1 for c in calls), [len(c) for c in calls]
+    assert calls == [[], []]
+
+
+def _built_at_the_tail(monkeypatch):
+    # The calls of pointwise() made by the forcing machine's _tail.
+    calls = []
+    build = cells.pointwise
+
+    def counting(*args):
+        if sys._getframe(1).f_code is cells._tail.__code__:
+            calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(cells, "pointwise", counting)
+    return calls
+
+
+def test_tails_read_first_build_successors_without_a_call(monkeypatch):
+    # _Prefix reads each tail before the head it leads to, as a product
+    # reads its operands, so every successor below is built by _tail.
+    calls = _built_at_the_tail(monkeypatch)
+    u = Series.from_list([0, 1]).exp()
+    v = Series.from_list([0, 2]).exp()
+    total = _Prefix(u + v).upto(200)
+    product = _Prefix((u + v) * (u - v)).upto(200)
+    # exp(x) + exp(2x), and exp(2x) - exp(4x).
+    assert total == [Fraction(1 + 2 ** n, factorial(n)) for n in range(201)]
+    assert product == [Fraction(2 ** n - 4 ** n, factorial(n))
+                       for n in range(201)]
+    assert calls == []
+
+
+def test_partitions_read_tails_first(monkeypatch):
+    # Each member of partitions() is a sum that passes the series through
+    # a shift, read here by tails first; both paths build their successors.
+    calls = _built_at_the_tail(monkeypatch)
+    values = _Prefix(partitions()).upto(300)
+    assert values == pentagonal_partitions(300)
+    assert all(type(v) is int for v in values)
+    assert calls == []
 
 
 def test_the_machine_builds_a_sum_of_infinite_series_successors(monkeypatch):

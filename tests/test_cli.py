@@ -449,6 +449,31 @@ def test_qft_prints_each_line_before_the_next_value_is_computed(monkeypatch, cap
                                 "error: integer division or modulo by zero\n")
 
 
+def test_qft_rows_reach_a_pipe_while_the_command_runs():
+    # Without PYTHONUNBUFFERED a pipe is block-buffered, as on a CI runner.
+    # Order 1000 runs for minutes, and its first rows come within a second.
+    # Held in the buffer, they would wait for rows up to about order 158,
+    # which take 20-60 s on CPython 3.11-3.13; the timer kills the process
+    # first, and the read ends with fewer than two rows.
+    env = python_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "corec", "qft", "--g", "2", "--order", "1000"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=env)
+    timer = threading.Timer(10, proc.kill)
+    timer.start()
+    try:
+        rows = [proc.stdout.readline() for _ in range(2)]
+        running = proc.poll() is None
+    finally:
+        timer.cancel()
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    assert rows == ["index,value\n", "0,1\n"]
+    assert running
+
+
 def test_each_line_is_written_before_the_next_element_is_forced(monkeypatch):
     printed = io.StringIO()
     seen = []
