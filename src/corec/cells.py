@@ -111,7 +111,10 @@ under the caller's recursion limit. This module never changes interpreter
 state: a definition deeper than the limit raises ``RecursionError``,
 whatever consumer reads it and however many elements it asks for. To go
 deeper, force on a thread with a larger stack and raise the limit in
-proportion to that stack, as the CLI does.
+proportion to that stack, as the CLI does. Freeing a deep structure
+nests C calls too: on CPython 3.13, dropping the last reference to a
+1,000-level lazy chain on a thread with a 256 KiB stack can segfault,
+while on the CLI's 64 MiB worker it freed 3,000,000-level chains.
 
 Forced values are retained for as long as the structure is referenced;
 there is no eviction. Forcing is not re-entrant-safe across threads: a

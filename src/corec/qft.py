@@ -12,14 +12,21 @@ factor shifts every self-reference one gamma-order up, which is exactly
 what makes the definition productive (coefficient k+1 only needs
 coefficients up to k).
 
+The recurrence is solved over the integers: with t = gamma/2 and
+phi_k = c_k / 2^k, the equation reads c = J + t * (c' + c^2), and every
+coefficient of c is an int. Each inner series c_k is scaled by 1/2^k,
+exactly, as it is read, before the transpose, so the entries that a
+polynomial's compact zero tail supplies stay the plain int 0.
+
 Amplitudes come out as rows of the transposed double series: G_n is the
 gamma-series of J^(n-1) coefficients. Everything is exact rational.
 """
 
 from __future__ import annotations
 
-from .coeffs import _HALF
-from .series import Series, _coeff_derivation, transpose
+from fractions import Fraction
+
+from .series import Series, _coeff_derivation, _indices, _map, transpose
 
 __all__ = ["dyson_schwinger", "greens", "parity_check"]
 
@@ -29,14 +36,18 @@ def dyson_schwinger() -> Series:
 
     The gamma^0 coefficient is the identity polynomial J (no interaction);
     each later coefficient is produced by one application of the right-hand
-    side to the prefix already known.
+    side to the prefix already known. The recurrence runs in t = gamma/2,
+    where it reads c = J + t * (c' + c^2) and every coefficient of c is an
+    int; phi_k = c_k / 2^k scales each inner series as it is read.
     """
     source = Series.from_list([0, 1])
-    phi = Series.cons(
-        source,
-        lambda: (phi.map(_coeff_derivation) + phi * phi).scale(_HALF),
-    )
-    return phi
+    c = Series.cons(source, lambda: c.map(_coeff_derivation) + c * c)
+    return _map(_unscale, c, _indices(0))
+
+
+def _unscale(inner, k):
+    # phi_k = c_k / 2^k; phi_0 = c_0 = J keeps its int coefficients.
+    return inner.scale(Fraction(1, 2 ** k)) if k else inner
 
 
 def greens(n: int, order: int | None = None) -> Series:

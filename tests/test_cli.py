@@ -71,6 +71,21 @@ def test_qft_g4(capsys):
     assert "6,525/16" in lines and "8,300" in lines
 
 
+# The sha256 of `corec qft --g G --order 60` stdout: the first slice of a
+# CLI golden file. Every value is exact, so the bytes are the same on every
+# platform and version.
+@pytest.mark.parametrize("g, digest", [
+    (2, "045b9cefd429ac6f6b4dfc0a036850d0feb8e56befd61e8d6a4e7de1fa5657cb"),
+    (3, "67ed634ef5378627d759fc041642d273b15cdf55d994ebddc320737881183302"),
+    (4, "6641e55e720c2f76648bcf2f00bc2baf2b3419d9bc81d21e0aac939297e7a44c"),
+    (5, "bb300631ba414605c14e975d225e8f9194109e74bc32e86568385adc82805895"),
+])
+def test_qft_order_60_stdout_digest(capsys, g, digest):
+    code, out, err = run(capsys, "qft", "--g", str(g), "--order", "60")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_lambertw(capsys):
     code, out, _ = run(capsys, "lambertw", "--n", "5")
     assert code == 0

@@ -113,3 +113,47 @@ def test_transpose_consistency_with_direct_lookup():
             inner = phi.at(k)
             direct = inner_coeffs(inner, n)[n - 1]
             assert row_vals[k] == direct
+
+
+# An oracle that shares nothing with corec: the original halved equation
+# phi = J + (gamma/2)(phi' + phi^2) as a recurrence over dense lists, where
+# phi_k, the gamma^k coefficient, is a polynomial in J of degree k + 1.
+def oracle_phi(orders):
+    phi = [[Fraction(0), Fraction(1)]]
+    for k in range(orders - 1):
+        nxt = [Fraction(0)] * (k + 3)
+        for a, c in enumerate(phi[k][1:]):
+            nxt[a] += (a + 1) * c
+        for i in range(k + 1):
+            for a, x in enumerate(phi[i]):
+                for b, y in enumerate(phi[k - i]):
+                    nxt[a + b] += x * y
+        phi.append([c / 2 for c in nxt])
+    return phi
+
+
+def oracle_type(k, a):
+    # The type of coefficient (gamma^k, J^a): phi_0 = J is built from ints,
+    # and past J^(k+1) an entry is the int 0 read from the ZERO tail; every
+    # other entry is an exact Fraction, zeros included.
+    return int if k == 0 or a > k + 1 else Fraction
+
+
+def oracle_entry(phi, k, a):
+    return phi[k][a] if a < len(phi[k]) else 0
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5, 7])
+def test_greens_match_the_dense_oracle_with_types(g):
+    phi = oracle_phi(31)
+    got = greens(g).take(31)
+    assert got == [oracle_entry(phi, k, g - 1) for k in range(31)]
+    assert [type(x) for x in got] == [oracle_type(k, g - 1) for k in range(31)]
+
+
+def test_phi_corner_matches_the_dense_oracle_with_types():
+    phi = oracle_phi(20)
+    for k, inner in enumerate(dyson_schwinger().take(20)):
+        got = inner_coeffs(inner, 20)
+        assert got == [oracle_entry(phi, k, a) for a in range(20)]
+        assert [type(x) for x in got] == [oracle_type(k, a) for a in range(20)]
