@@ -19,26 +19,27 @@ them), forces both:
   call: at ``.head`` when the head is forced after the operands' tails
   (as in a recurrence), and at ``.tail`` when that comes first (as
   ``series._Prefix`` reads a product's operands). A unary node has ``b``
-  None, so the machine unpacks it without a length test. Elementwise
-  operations (``map``, ``zip_with``, ``+``, ``-``, negation, ``scale``)
-  thus allocate one node per element and no closures.
+  None, so the machine unpacks it, and calls its rule, without a length
+  test. Elementwise operations (``map``, ``zip_with``, ``+``, ``-``,
+  negation, ``scale``) thus allocate one node per element and no closures.
 
 A tail rule is the end handler of an algebra, and nothing more. It runs
 only at ``.tail``, and only where an operand tail is not exactly of the
 node's class: a compact form (``ZERO``, a ``_Const`` tower) or a node of
-another algebra. There the tail is ``rule(op, a.tail, b.tail)``: a series
-plus ``ZERO`` is the series, a tower plus a constant's ``ZERO_TOWER``
-tail is the tower, a map of a constant is a constant, and a series plus
-``x^k p`` passes the series through for the k zeros of the shift, which
-are never built (its right operand is ``ZERO``, so that rule runs at
-every node). Every rule keeps one invariant, on which this short-cut
-rests: given operand tails of exactly the node's class, it returns
-``pointwise(cls, rule, op, a.tail, b.tail)``, the node the machine
-builds. A stream has no rule, so a recurrence's successors cost no Python
-call, and neither do those of a tower recurrence or of a sum of series
-that never end. A head forced where an operand ends leaves the node's
-tail, and its operands, to ``.tail``. Forcing a cell overwrites its
-recipe, so a forced prefix pins no operand nodes.
+another algebra. There the tail is ``rule(op, a.tail, b.tail)``, with
+``b.tail`` None for a unary node: a series plus ``ZERO`` is the series, a
+tower plus a constant's ``ZERO_TOWER`` tail is the tower, a map of a
+constant is a constant, and a series plus ``x^k p`` passes the series
+through for the k zeros of the shift, which are never built (its right
+operand is ``ZERO``, so that rule runs at every node). Every rule keeps
+one invariant, on which this short-cut rests: given operand tails of
+exactly the node's class, it returns ``pointwise(cls, rule, op, a.tail,
+b.tail)``, the node the machine builds. A stream has no rule, so a
+recurrence's successors cost no Python call, and neither do those of a
+tower recurrence or of a sum of series that never end. A head forced
+where an operand ends leaves the node's tail, and its operands, to
+``.tail``. Forcing a cell overwrites its recipe, so a forced prefix pins
+no operand nodes.
 
 Products, quotients, integrals and derivatives of series and towers are
 pointwise nodes over a series of indices (``series._indices``): element n
@@ -47,12 +48,14 @@ nodes have the class of the result, so the machine builds its successors.
 Where a polynomial product ends is known only by walking operand tails,
 so that question (``done``) is asked in the thunk of the index node's
 tail, which runs only when the result's tail is forced; every other
-successor of the result is then built without a call.
+successor of the result is then built without a call. ``transpose`` maps
+its row reader over the indices in the same way: row i is a map over the
+input that reads entry i of each coefficient in a loop of tails, from the
+deepest tail that an earlier row reached.
 The library's thunk nodes are the user-level definitions of the catalog,
 ``dsp`` and ``qft``, ``defer`` and ``delayed``, and a few that build one
 node per level or row rather than per element, or whose end needs a rule
-of its own: ``compose``'s Horner scheme, ``transpose`` and
-``taylor_from_tower``.
+of its own: ``compose``'s Horner scheme and ``taylor_from_tower``.
 
 A deferred node (:meth:`LazyPair.defer`) is a thunk node that reads the
 head and the tail of the node its function returns; that function runs
@@ -209,8 +212,6 @@ def _tail(node):
                 rest = object.__new__(cls)
                 rest._hs = rest._ts = _OPS
                 rest._h = rest._t = (op, a, b, rule)
-            elif b is None:
-                rest = rule(op, a)
             else:
                 rest = rule(op, a, b)
     except BaseException:
@@ -227,11 +228,11 @@ def pointwise(cls, rule, op, a, b=None):
     tails, which the forcing machine builds inline, at ``.head`` or at
     ``.tail``, without calling this function; it is the algebra's
     constructor of a first node. Where an operand tail is not exactly of
-    class ``cls``, the tail is ``rule(op, a.tail)``, or ``rule(op, a.tail,
-    b.tail)``, called only when ``.tail`` is read. The rule is the end
-    handler, given only where the algebra has a short-cut to take; given
-    tails of class ``cls``, it must return ``pointwise(cls, rule, op,
-    a.tail, b.tail)``."""
+    class ``cls``, the tail is ``rule(op, a.tail, b.tail)``, with
+    ``b.tail`` None for a unary node, called only when ``.tail`` is read.
+    The rule is the end handler, given only where the algebra has a
+    short-cut to take; given tails of class ``cls``, it must return
+    ``pointwise(cls, rule, op, a.tail, b.tail)``."""
     node = cls.__new__(cls)
     node._hs = node._ts = _OPS
     node._h = node._t = (op, a, b, rule)

@@ -202,7 +202,9 @@ def _audio_stream(args):
         mod_h = 2.0 * math.pi * 5.0 / args.rate
         wobble = sine(mod_h).map(lambda v: 1.0 + 0.05 * v)
         return vibrato(h, wobble)
-    excitation = noise(args.seed).take(args.length)
+    # A length below 2 is refused by karplus_strong, by its own name.
+    _at_most(args.length, "audio: --len")
+    excitation = noise(args.seed).take(max(args.length, 0))
     string = karplus_strong(args.length, excitation)
     if args.kind == "ks":
         return string

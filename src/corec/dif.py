@@ -194,13 +194,15 @@ def _zero_tower():
 _NUMBER_TYPES = (int, float, complex)
 
 
-# _map and _zip are also tail rules. The forcing machine calls one only at
-# .tail, and only where an operand tail is a compact constant or not a Dif
-# node; given Dif tails, a rule must return pointwise(Dif, rule, op,
-# *tails), the node that the machine builds in its place.
+# _map and _zip are also tail rules. The forcing machine calls one as
+# rule(op, a, b), with b None for a unary node, only at .tail, and only
+# where an operand tail is a compact constant or not a Dif node; given Dif
+# tails, a rule must return pointwise(Dif, rule, op, a, b), the node that
+# the machine builds in its place.
 
-def _map(op, a):
-    # Elementwise op; it maps a compact constant to a compact constant.
+def _map(op, a, b=None):
+    # Elementwise op; it maps a compact constant to a compact constant. b is
+    # the None that the machine passes to the rule of a unary node.
     if isinstance(a, _Const):
         return Dif.const(op(a.value))
     return pointwise(Dif, _map, op, a)

@@ -15,18 +15,20 @@ coefficients up to k).
 The recurrence is solved over the integers: with t = gamma/2 and
 phi_k = c_k / 2^k, the equation reads c = J + t * (c' + c^2), and every
 coefficient of c is an int. Each inner series c_k is scaled by 1/2^k,
-exactly, as it is read, before the transpose, so the entries that a
-polynomial's compact zero tail supplies stay the plain int 0.
+exactly, as it is read and before any entry of it is, so the entries
+that a polynomial's compact zero tail supplies stay the plain int 0.
 
-Amplitudes come out as rows of the transposed double series: G_n is the
-gamma-series of J^(n-1) coefficients. Everything is exact rational.
+Amplitudes are rows of the double series: G_n is the gamma-series of
+J^(n-1) coefficients, entry n-1 of each inner series, read by a loop of
+its tails that stops where the polynomial ends. So reading G_n nests no
+deeper for a large n than for n = 2. Everything is exact rational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import Series, _coeff_derivation, _indices, _map, transpose
+from .series import Series, _coeff_derivation, _indices, _map, _rows
 
 __all__ = ["dyson_schwinger", "greens", "parity_check"]
 
@@ -53,13 +55,14 @@ def _unscale(inner, k):
 def greens(n: int, order: int | None = None) -> Series:
     """The amplitude G_n as a series in gamma.
 
-    Row n-1 of the transposed phi: coefficient k is the J^(n-1) coefficient
-    of phi's gamma^k term, with no factorial normalization. If ``order`` is
-    given, coefficients 0..order are forced before returning.
+    Row n-1 of phi: coefficient k is the J^(n-1) coefficient of phi's
+    gamma^k term, with no factorial normalization, read without walking the
+    rows before it. If ``order`` is given, coefficients 0..order are forced
+    before returning.
     """
     if n < 2:
         raise ValueError("greens: n must be >= 2")
-    row = transpose(dyson_schwinger()).at(n - 1)
+    row = _rows(dyson_schwinger())(n - 1)
     if order is not None:
         row.take(_order(order) + 1)
     return row

@@ -381,24 +381,39 @@ def transpose(m: Series) -> Series:
     """Swap the two index levels of a series of series or of towers.
 
     Coefficient (i, j) of the result is coefficient (j, i) of the input;
-    both directions stay lazy. Plain scalar entries produced by a compact
-    zero tail are treated as zero series.
+    both directions stay lazy. Each coefficient keeps the list of the tail
+    nodes that reads of its entries have reached, and a read extends that
+    list in a loop: rows read in turn cost one tail step an entry, and
+    reading any row nests no deeper than reading row 0. A plain scalar
+    coefficient, such as the 0 that a compact zero tail produces, is
+    treated as a constant series.
     """
     if m is ZERO:
         return ZERO
-    return Series(lambda: m.map(_coeff_head),
-                  lambda: transpose(m.map(_coeff_tail)))
+    return _map(_rows(m), _indices(0))
 
 
-# A coefficient of a series of series or of towers is such a node, or
-# the plain 0 read from a ZERO tail, which stands for the compact zero.
+# A coefficient of a series of series or of towers is such a node, or a
+# plain scalar, such as the 0 read from a ZERO tail, which is read as the
+# constant series of that scalar: row 0 is the scalar, every later row the
+# int 0.
 
-def _coeff_head(c):
-    return _head(c) if isinstance(c, Analytic) else c
+def _rows(m):
+    # The row reader of a series of series or of towers m: row i is entry i
+    # of each coefficient, ending where m ends. Its rows share one walk a
+    # coefficient: the list of it and of the tails read from it so far.
+    walks = m.map(lambda c: [c if isinstance(c, Analytic)
+                             else Series.cons(c, ZERO)])
+    return lambda i: walks.map(partial(_entry, i))
 
 
-def _coeff_tail(c):
-    return _tail(c) if isinstance(c, Analytic) else ZERO
+def _entry(i, walk):
+    # Entry i of the coefficient that starts the walk. The walk is extended
+    # in a loop from the deepest node an earlier read reached, so the depth
+    # of a read does not grow with i; it stops at ZERO, whose head is 0.
+    while len(walk) <= i and walk[-1] is not ZERO:
+        walk.append(_tail(walk[-1]))
+    return _head(walk[min(i, len(walk) - 1)])
 
 
 def _coeff_derivation(c):
@@ -475,10 +490,10 @@ def _indices(n, done=None, cls=Series):
 # -- lazy helpers (forcing only happens inside thunks) -------------------
 #
 # _map (of one operand or two), _zip and _passing are also tail rules. The
-# forcing machine calls one only at .tail, and only where an operand tail is
-# ZERO or not a Series node; given Series tails, a rule must return
-# pointwise(Series, rule, op, *tails), the node that the machine builds in
-# its place.
+# forcing machine calls one as rule(op, a, b), with b None for a unary node,
+# only at .tail, and only where an operand tail is ZERO or not a Series
+# node; given Series tails, a rule must return pointwise(Series, rule, op,
+# a, b), the node that the machine builds in its place.
 
 def _map(f, u, v=None):
     # Element k is f(u_k), or f(u_k, v_k) with v, and the result ends where

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from .coeffs import _HALF
 from .dif import Dif
-from .series import Series, _coeff_derivation, _coeff_head
+from .series import Series, _coeff_derivation, _rows
 
 __all__ = ["WkbResult", "add_to_tail", "wkb_expand", "airy_s0_prime"]
 
@@ -81,8 +81,8 @@ def wkb_expand(s0_prime: Dif, orders: int) -> WkbResult:
                  + (v_prime * v_prime).shift(1)).scale(half_over_s0)
     )
 
-    u_main = u.map(_coeff_head)
-    v_prime_main = v_prime.map(_coeff_head)
+    u_main = _rows(u)(0)
+    v_prime_main = _rows(v_prime)(0)
     u_main.take(orders)
     v_prime_main.take(orders)
     return WkbResult(u=u, v_prime=v_prime,

@@ -146,6 +146,26 @@ def test_a_negative_count_names_the_function_that_refuses_it(capsys, argv, messa
     assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
 
 
+@pytest.mark.parametrize("length, message", [
+    ("-1", "karplus_strong: length must be >= 2"),
+    (str(sys.maxsize + 1), "audio: --len must be at most %d" % sys.maxsize),
+], ids=["negative", "past-maxsize"])
+@pytest.mark.parametrize("kind", ["ks", "allpass-demo"])
+def test_audio_len_out_of_range_names_the_check(tmp_path, capsys, kind, length,
+                                                message):
+    target = tmp_path / "x.wav"
+    assert run(capsys, "audio", kind, "--out", str(target), "--len", length) \
+        == (2, "", "error: %s\n" % message)
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("g", [10 ** 5, 10 ** 18])
+def test_qft_past_the_degree_bound_prints_zeros(capsys, g):
+    # phi_k has degree k + 1, so G_g is 0 up to order g - 3.
+    assert run(capsys, "qft", "--g", str(g), "--order", "3") \
+        == (0, "index,value\n0,0\n1,0\n2,0\n3,0\n", "")
+
+
 def test_deterministic_stdout(capsys):
     _, first, _ = run(capsys, "qft", "--g", "2", "--order", "10")
     _, second, _ = run(capsys, "qft", "--g", "2", "--order", "10")

@@ -103,6 +103,15 @@ def test_inner_degree_bound():
         assert all(c == 0 for c in coeffs[k + 2:])
 
 
+@pytest.mark.parametrize("n", [10 ** 6, 10 ** 18])
+def test_a_row_past_every_polynomial_degree_reads_int_zeros(n):
+    # phi_k has degree k + 1, so row n - 1 starts with n - 2 zeros, each
+    # read by a walk of tails that stops where the polynomial ends.
+    row = greens(n).take(4)
+    assert row == [0, 0, 0, 0]
+    assert all(type(v) is int for v in row)
+
+
 def test_transpose_consistency_with_direct_lookup():
     phi = dyson_schwinger()
     columns = transpose(dyson_schwinger())

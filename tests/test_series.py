@@ -7,6 +7,8 @@ import pytest
 from corec.dif import Dif, ZERO_TOWER
 from corec.series import Series, ZERO, sint, transpose
 
+from support import run_python
+
 
 # -- independent oracles on truncated coefficient lists -------------------
 
@@ -452,6 +454,53 @@ def test_transpose_reads_tower_coefficients_as_rows():
     rows = transpose(m).take(3)
     assert [r.coefficients(3) for r in rows] == [[0.5, 2.0, 0], [1, 0, 0],
                                                  [0, 0, 0]]
+
+
+def test_transpose_reads_a_scalar_coefficient_as_a_constant_series():
+    # Row 0 holds the scalar itself; every later row the int 0.
+    m = Series.from_list([5, Series.from_list([1, 2]), 0.5])
+    rows = [r.coefficients(3) for r in transpose(m).take(3)]
+    assert rows == [[5, 1, 0.5], [0, 2, 0], [0, 0, 0]]
+    assert [[type(v) for v in row] for row in rows] == [[int, int, float],
+                                                        [int] * 3, [int] * 3]
+
+
+def test_row_3000_of_a_transpose_reads_under_limit_150():
+    # Entry i of a coefficient is read by a loop over its tails, so the
+    # depth of a read does not grow with the row.
+    script = (
+        "import sys\n"
+        "from corec.qft import dyson_schwinger\n"
+        "from corec.series import transpose\n"
+        "sys.setrecursionlimit(150)\n"
+        "row = transpose(dyson_schwinger()).at(3000).take(4)\n"
+        "sys.setrecursionlimit(1000)\n"
+        "assert row == [0, 0, 0, 0], row\n"
+        "assert all(type(v) is int for v in row), row\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr[-500:]
+
+
+def test_rows_read_in_turn_take_one_tail_step_an_entry(monkeypatch):
+    # Each coefficient keeps the tails that reads of its entries reached,
+    # so a window of n rows reads each of the n - 1 tails it needs once.
+    import corec.series as series
+    n = 30
+    m = Series.from_list([1 / (1 - Series.from_list([0, k + 1]))
+                          for k in range(n)])
+    for c in m.take(n):
+        c.coefficients(n)
+    steps, tail = [0], series._tail
+
+    def counting(node):
+        steps[0] += 1
+        return tail(node)
+
+    monkeypatch.setattr(series, "_tail", counting)
+    rows = [r.coefficients(n) for r in transpose(m).take(n)]
+    assert rows[n - 1][:3] == [1, 2 ** (n - 1), 3 ** (n - 1)]
+    assert steps[0] == n * (n - 1)
 
 
 def test_mul_laziness_bound():
