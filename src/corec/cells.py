@@ -63,6 +63,9 @@ once, as the head thunk of a private cell forced by the same machine.
 :meth:`LazyPair.delayed` (``shift``, ``delay``) builds each fill when read,
 and :func:`delayed_run` reads how many fills of such a run are left and
 the node after them, so that only this module knows how a run is laid out.
+:meth:`LazyPair.cons_all` builds a prefix of known heads
+(``stream.prepend``, ``Series.from_list``): the nodes that ``cons`` would
+build, in one loop with no call per element.
 
 Each cell moves through three states: unevaluated (its state tells a
 thunk from a pointwise recipe), in progress, evaluated. A definition that
@@ -86,7 +89,7 @@ one all-zero tail and override ``_define``, so that a function of a
 constant stays compact. Outside this module, only the self-tails of
 ``ZERO`` and ``ZERO_TOWER`` write a slot, and ``series._passing``, the one
 rule that runs at every node of its run, builds its node inline as the
-machine does.
+machine does; ``tests/test_cells.py`` checks this.
 
 ``take``, ``at`` and iteration read through one walker: ``n`` elements
 force ``n`` heads and ``n - 1`` tails, never a cell past the last element
@@ -262,12 +265,27 @@ class LazyPair:
         node = cls.__new__(cls)
         node._hs = _FORCED
         node._h = value
-        if callable(tail):
-            node._ts = _THUNK
-        else:
-            node._ts = _FORCED
+        node._ts = _THUNK if callable(tail) else _FORCED
         node._t = tail
         return node
+
+    @classmethod
+    def cons_all(cls, values, tail):
+        """The elements of ``values`` as forced heads, then ``tail``, a
+        node or a thunk as for :meth:`cons`; ``tail`` itself if there are
+        none. ``values`` must be reversible."""
+        # cons inline, one node an element and no call; only the last
+        # node's tail can be a thunk, so callable() runs once.
+        state = _THUNK if callable(tail) else _FORCED
+        for value in reversed(values):
+            node = object.__new__(cls)
+            node._hs = _FORCED
+            node._h = value
+            node._ts = state
+            node._t = tail
+            tail = node
+            state = _FORCED
+        return tail
 
     @classmethod
     def delayed(cls, m, node, fill):

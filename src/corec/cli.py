@@ -190,7 +190,8 @@ def _run_wkb(args) -> None:
 
 
 def _audio_stream(args):
-    from .dsp import allpass, euler_osc, karplus_strong, noise, sine, vibrato
+    from .dsp import (_frames, allpass, euler_osc, karplus_strong, noise,
+                      sine, vibrato)
 
     h = 2.0 * math.pi * args.freq / args.rate
     if args.kind == "sine":
@@ -204,8 +205,16 @@ def _audio_stream(args):
         return vibrato(h, wobble)
     # A length below 2 is refused by karplus_strong, by its own name.
     _at_most(args.length, "audio: --len")
-    excitation = noise(args.seed).take(max(args.length, 0))
-    string = karplus_strong(args.length, excitation)
+    # Output sample n < L is excitation sample n, and the all-pass reads
+    # the string only up to n, so a render reads no more of the excitation
+    # than its frames: the string is that long, but never below 2. A render
+    # that write_wav refuses reads none.
+    try:
+        frames = _frames(args.rate, args.dur)
+    except ValueError:
+        frames = 0
+    length = min(args.length, max(frames, 2))
+    string = karplus_strong(length, noise(args.seed).take(max(length, 0)))
     if args.kind == "ks":
         return string
     return allpass(args.m, args.b, string)

@@ -4,8 +4,9 @@ A sound here is just an infinite stream of float64 samples, nominally in
 [-1, 1]; every generator and filter below is a direct transcription of its
 defining recurrence into a self-referential stream. A step of a recurrence
 is one ``zip_with`` of its taps, so it costs one stream node per sample
-rather than one per operator. Quantization happens only when writing a
-file.
+rather than one per operator; vibrato steps one stream of its two state
+variables, and maps it to its output. Quantization happens only when
+writing a file.
 
 The noise source is fully bit-specified (splitmix64) so that renders are
 reproducible across platforms and golden-file tests are portable.
@@ -20,6 +21,7 @@ import sys
 import tempfile
 from array import array
 from itertools import islice
+from operator import itemgetter
 from typing import Sequence
 
 from .stream import Stream, cons, defer, delay, prepend, zip_with
@@ -84,19 +86,23 @@ def vibrato(h: float, mod: Stream) -> Stream:
     """Euler oscillator with both couplings weighted elementwise by ``mod``.
 
     A slowly varying ``mod`` near 1 wobbles the instantaneous frequency;
-    the constant stream 1 reproduces :func:`euler_osc` exactly. Each
-    coupling ``h * (mod * v)`` is one ``zip_with``, added to ``y`` or
-    subtracted from ``u``. A NaN or infinite ``h`` raises ``ValueError``.
+    the constant stream 1 reproduces :func:`euler_osc` exactly. The
+    oscillator is one stream of ``(y, u)`` states: a step is one
+    ``zip_with`` of the states and ``mod``, ``w = y + h * (m * u)`` and
+    then ``u - h * (m * w)``, and the output maps each state to its ``y``.
+    So a sample costs 2 nodes plus those of ``mod``, and n samples read
+    n - 1 elements of ``mod``. A NaN or infinite ``h`` raises
+    ``ValueError``.
     """
     _finite_step("vibrato", h)
 
-    def coupling(m, b):
-        return h * (m * b)
+    def step(state, m):
+        y, u = state
+        w = y + h * (m * u)
+        return w, u - h * (m * w)
 
-    y = cons(0.0, lambda: w)
-    w = defer(lambda: y + zip_with(coupling, mod, u))
-    u = cons(1.0, lambda: u - zip_with(coupling, mod, w))
-    return y
+    states = cons((0.0, 1.0), lambda: zip_with(step, states, mod))
+    return states.map(itemgetter(0))
 
 
 def karplus_strong(length: int, excitation: Sequence[float],
@@ -173,6 +179,20 @@ def noise(seed: int) -> Stream:
     return defer(lambda: step(seed & _MASK64))
 
 
+def _frames(rate: int, seconds: float) -> int:
+    # The frames of a render, or the ValueError write_wav raises for it.
+    if rate <= 0:
+        raise ValueError("write_wav: rate must be > 0")
+    if not 0 < seconds < math.inf:
+        raise ValueError("write_wav: seconds must be > 0 and finite, not %r"
+                         % seconds)
+    frames = int(rate * seconds)
+    if rate * 2 > 0xFFFFFFFF or 36 + 2 * frames > 0xFFFFFFFF:
+        raise ValueError("write_wav: %d frames at %d Hz do not fit in a WAV "
+                         "header" % (frames, rate))
+    return frames
+
+
 #: Samples quantized and written per chunk by :func:`write_wav`.
 _CHUNK = 1 << 14
 
@@ -194,16 +214,8 @@ def write_wav(path: str, rate: int, s: Stream, seconds: float) -> str:
     index. An ``OSError`` about a file names ``path``, never the temporary
     name.
     """
-    if rate <= 0:
-        raise ValueError("write_wav: rate must be > 0")
-    if not 0 < seconds < math.inf:
-        raise ValueError("write_wav: seconds must be > 0 and finite, not %r"
-                         % seconds)
-    frames = int(rate * seconds)
+    frames = _frames(rate, seconds)
     data_size = 2 * frames
-    if rate * 2 > 0xFFFFFFFF or 36 + data_size > 0xFFFFFFFF:
-        raise ValueError("write_wav: %d frames at %d Hz do not fit in a WAV "
-                         "header" % (frames, rate))
     samples = iter(s)
     del s
 

@@ -173,10 +173,7 @@ class Series(Analytic):
     @classmethod
     def from_list(cls, values) -> "Series":
         """Polynomial with the given coefficients, then the compact zero tail."""
-        node = ZERO
-        for v in reversed(values):
-            node = cls.cons(v, node)
-        return node
+        return cls.cons_all(values, ZERO)
 
     @classmethod
     def monomial(cls, m: int) -> "Series":

@@ -110,10 +110,7 @@ def delay(m: int, s: Stream, fill=0) -> Stream:
 
 def prepend(prefix: Sequence, s: Stream) -> Stream:
     """The elements of ``prefix`` followed by ``s``."""
-    node = s
-    for value in reversed(prefix):
-        node = Stream.cons(value, node)
-    return node
+    return Stream.cons_all(prefix, s)
 
 
 def take(n: int, s: Stream) -> list:

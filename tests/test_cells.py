@@ -1,5 +1,6 @@
 """Pointwise nodes, deferred nodes and the non-productivity message."""
 
+import ast
 import cmath
 import os
 import sys
@@ -519,3 +520,61 @@ def test_take_and_at_refuse_an_index_that_is_not_an_int():
         s.take(2.5)
     with pytest.raises(TypeError):
         s.at(1.5)
+
+
+# -- only cells knows the node layout ------------------------------------------
+
+_SLOTS = {"_hs", "_h", "_ts", "_t"}
+# The stores that the cells docstring names: the self-tails of the two
+# compact zeros, and the node that series._passing builds inline.
+_LAYOUT_EXCEPTIONS = {
+    ("dif.py", "<module>", "ZERO_TOWER._t"),
+    ("series.py", "<module>", "ZERO._t"),
+    ("series.py", "_passing", "node._hs"),
+    ("series.py", "_passing", "node._ts"),
+    ("series.py", "_passing", "node._h"),
+    ("series.py", "_passing", "node._t"),
+}
+
+
+def _slot_stores(path):
+    # (file, enclosing function, target) of each store or delete of a slot,
+    # whether by assignment or by setattr/delattr with the name spelt out.
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        slot = None
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+            slot = node.attr
+        elif (isinstance(node, ast.Call) and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)
+              and ast.unparse(node.func).strip("_").endswith(("setattr", "delattr"))):
+            slot = node.args[1].value
+        if slot in _SLOTS:
+            found.append((os.path.basename(path), where, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    with open(path) as fh:
+        visit(ast.parse(fh.read(), path), "<module>")
+    return found
+
+
+def test_only_cells_stores_into_a_node_s_slots():
+    package = os.path.dirname(cells.__file__)
+    stores = [store for name in sorted(os.listdir(package))
+              if name.endswith(".py") and name != "cells.py"
+              for store in _slot_stores(os.path.join(package, name))]
+    assert set(stores) <= _LAYOUT_EXCEPTIONS, sorted(set(stores) - _LAYOUT_EXCEPTIONS)
+    # The walk sees the stores it allows, so it is not blind.
+    assert set(stores) == _LAYOUT_EXCEPTIONS
+
+
+def test_the_layout_check_sees_every_kind_of_store(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("def f(n):\n    n._h = 1\n    n._t += 1\n    del n._hs\n"
+                    "    setattr(n, '_ts', 0)\n    object.__setattr__(n, '_h', 0)\n"
+                    "    n.head = n._h\n")
+    assert [where for _, where, _ in _slot_stores(str(path))] == ["f"] * 5

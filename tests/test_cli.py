@@ -159,6 +159,26 @@ def test_audio_len_out_of_range_names_the_check(tmp_path, capsys, kind, length,
     assert not target.exists()
 
 
+@pytest.mark.parametrize("kind", ["ks", "allpass-demo"])
+def test_audio_draws_no_more_of_the_excitation_than_it_writes(tmp_path, kind):
+    # 0.01 s at 44.1 kHz is 441 frames, and they are the same for any
+    # longer string: output n < L is excitation n. The address space is
+    # capped, so drawing all L samples fails fast instead of filling memory.
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+              "from corec.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    wavs = []
+    for length in (str(sys.maxsize), "441"):
+        target = tmp_path / (length + ".wav")
+        proc = run_python("-c", script, "audio", kind, "--out", str(target),
+                          "--dur", "0.01", "--len", length)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "wrote %s (441 frames at 44100 Hz)\n" % target
+        wavs.append(target.read_bytes())
+    assert wavs[0] == wavs[1] and len(wavs[0]) == 44 + 2 * 441
+
+
 @pytest.mark.parametrize("g", [10 ** 5, 10 ** 18])
 def test_qft_past_the_degree_bound_prints_zeros(capsys, g):
     # phi_k has degree k + 1, so G_g is 0 up to order g - 3.

@@ -1,5 +1,6 @@
 """The CLI contract, searched for counterexamples: every run ends in exit
 0, 1 or 2, never with a traceback, and exit 2 prints one ``error:`` line.
+An ``audio`` run that fails leaves no file behind.
 
 Each case runs in-process through ``cli.main``, one call at a time. A
 count between about 10^4 and ``sys.maxsize`` runs for a very long time, so
@@ -8,7 +9,9 @@ counts are drawn small or past ``sys.maxsize``.
 
 import contextlib
 import io
+import os
 import sys
+import tempfile
 
 import pytest
 
@@ -45,3 +48,44 @@ def test_qft_ends_in_rows_or_one_error_line(g, order):
         assert err.count("\n") == 1 and err.startswith("error: ")
     if code == 0:
         assert len(out.splitlines()) == int(order) + 2
+
+
+# A render is tiny (at most 80 frames) or past what a WAV header holds, so
+# every example is cheap; --len 2**62 and sys.maxsize draw only the
+# excitation that the render reads. Each option takes a usable value about
+# two times in three, so that some examples render.
+def _mostly(good, bad):
+    return st.sampled_from(good + good + bad)
+
+
+_EDGES = ("0", "-0.0", "nan", "inf", "-inf", "x")
+_COUNT = _mostly(("2", "3", "8", str(2 ** 62), str(sys.maxsize)),
+                 ("1", "0", "-3", str(sys.maxsize + 1), "x"))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["sine", "euler", "vibrato", "ks", "allpass-demo"]),
+       length=_COUNT,
+       rate=_mostly(("8000", "1"), ("0", "-8000", "3000000000",
+                                    str(sys.maxsize + 1), "x")),
+       dur=_mostly(("0.01", "0.001", "1e-300"), ("-1", "1e300") + _EDGES),
+       freq=_mostly(("440", "-440", "0"), ("1e308", "nan", "inf", "-inf", "x")),
+       m=_COUNT,
+       b=_mostly(("0.5", "-0.99", "0"), ("1", "-1", "nan", "inf", "-inf", "x")))
+def test_audio_ends_in_a_file_or_one_error_line_and_no_file(kind, length, rate, dur,
+                                                           freq, m, b):
+    with tempfile.TemporaryDirectory() as directory:
+        target = os.path.join(directory, "x.wav")
+        code, out, err = _main(["audio", kind, "--out", target, "--len=" + length,
+                                "--rate=" + rate, "--dur=" + dur, "--freq=" + freq,
+                                "--m=" + m, "--b=" + b])
+        left = os.listdir(directory)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.count("\n") == 1 and err.startswith("error: ")
+    if code == 0:
+        assert left == ["x.wav"] and out.startswith("wrote %s (" % target)
+    else:
+        # No file, and no .wav.part either.
+        assert left == [] and out == ""

@@ -131,6 +131,30 @@ def test_vibrato_bounded_for_bounded_modulation():
     assert max(abs(v) for v in y) <= 1.1
 
 
+def test_vibrato_reads_one_modulation_element_fewer_than_it_gives():
+    reads = []
+
+    def count(v):
+        reads.append(v)
+        return v
+
+    assert len(take(100, vibrato(0.05, repeat(1.0).map(count)))) == 100
+    assert len(reads) == 99
+
+
+def test_vibrato_modulated_by_its_own_output():
+    h, n = 0.05, 500
+    y = vibrato(h, defer(lambda: y.map(lambda v: 1.0 + 0.1 * v)))
+    expected, yy, u = [], 0.0, 1.0
+    for _ in range(n):
+        expected.append(yy)
+        m = 1.0 + 0.1 * yy
+        w = yy + h * (m * u)
+        u = u - h * (m * w)
+        yy = w
+    assert take(n, y) == expected
+
+
 # -- plucked string --------------------------------------------------------------
 
 def test_karplus_strong_hand_iteration():

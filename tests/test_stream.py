@@ -2,6 +2,8 @@ import threading
 
 import pytest
 
+from corec.cells import _FORCED as FORCED
+from corec.series import ZERO, Series
 from corec.stream import (
     NonProductiveError,
     Stream,
@@ -114,6 +116,54 @@ def test_prepend():
     s = make_integs()
     assert prepend([], s) is s
     assert take(4, prepend([7, 8], make_ones())) == [7, 8, 1, 1]
+
+
+def test_prepend_and_from_list_build_forced_nodes_of_the_class_asked_for():
+    class Sub(Series):
+        __slots__ = ()
+
+    # Every slot of the prefix is forced, so reading it runs no recipe, and
+    # an empty prefix is the node after it.
+    ones = make_ones()
+    for values, node, cls, rest in [
+            ([7, 8], prepend([7, 8], ones), Stream, ones),
+            ((), prepend((), ones), Stream, ones),
+            ((1, 2, 3), Series.from_list((1, 2, 3)), Series, ZERO),
+            ([], Series.from_list([]), Series, ZERO),
+            ([5, 6], Sub.from_list([5, 6]), Sub, ZERO)]:
+        for value in values:
+            assert type(node) is cls
+            assert (node._hs, node._h, node._ts) == (FORCED, value, FORCED)
+            node = node._t
+        assert node is rest
+
+
+def test_a_prefix_before_a_thunk_reads_it_once_from_its_last_node():
+    calls = []
+    ones = make_ones()
+
+    def rest():
+        calls.append(1)
+        return ones
+
+    s = Stream.cons_all([1, 2], rest)
+    assert s._t._ts != FORCED and calls == []
+    assert take(4, s) == [1, 2, 1, 1] and calls == [1]
+    assert Stream.cons_all([], rest) is rest
+
+
+@pytest.mark.parametrize("values", [{1, 2}, iter([1, 2]), (v for v in [1])],
+                         ids=["set", "iterator", "generator"])
+def test_a_prefix_that_cannot_be_reversed_raises_type_error(values):
+    with pytest.raises(TypeError):
+        prepend(values, make_ones())
+    with pytest.raises(TypeError):
+        Series.from_list(values)
+
+
+def test_prepend_and_from_list_keep_their_reprs():
+    assert repr(prepend([7, 8], make_ones())) == "<Stream [7, 8, 1...]>"
+    assert repr(Series.from_list([1, 2])) == "<Series [1, 2, 0, 0, 0, 0, 0, 0...]>"
 
 
 def test_take_edge_cases():
