@@ -94,7 +94,16 @@ machine does; ``tests/test_cells.py`` checks this.
 ``take``, ``at`` and iteration read through one walker: ``n`` elements
 force ``n`` heads and ``n - 1`` tails, never a cell past the last element
 returned. The only read-ahead is the successor built when a pointwise
-node's head is forced, which allocates a node and forces nothing.
+node's head is forced, which allocates a node and forces nothing. No read
+keeps the first node: the walker holds only the node it has reached, and
+``take`` and ``at`` drop their own reference before they read. CPython
+3.11-3.13 move a Python call's arguments into the callee's frame, so when
+the caller holds no other reference (``sine(h).at(k)`` on a temporary),
+the nodes behind the walker are freed as it passes them. A C caller
+(``map(Series.take, ...)``) holds its argument for the whole call, and so
+does any Python frame in between: ``Series.coefficients`` and
+``Dif.elements`` are ``take`` itself, and ``stream.take`` drops its
+argument as ``take`` does.
 
 Forcing a cell nests one Python frame or more per level of the cells it
 demands, and only Python frames: every recipe that forces further cells
@@ -324,14 +333,22 @@ class LazyPair:
         ``n = 0``, none at all. Like ``.head``, it forces under the
         caller's recursion limit; a definition nested deeper raises
         ``RecursionError``. ``n`` past ``sys.maxsize`` raises ``ValueError``.
+        Like iteration, it keeps no node behind the walker's: a structure
+        that the caller holds no other reference to is freed as it is read.
+        A C caller, or a wrapper frame, holds it and so its first node.
         """
-        return list(islice(_elements(self), _count(n, "take: n")))
+        walker = _elements(self)
+        del self
+        return list(islice(walker, _count(n, "take: n")))
 
     def at(self, k):
         """Force and return element ``k``: ``k + 1`` heads and ``k`` tails,
-        read through the walker of :meth:`take`, with no list built. ``k``
-        past ``sys.maxsize`` raises ``ValueError``."""
-        return next(islice(_elements(self), _count(k, "at: index"), None))
+        read through the walker of :meth:`take`, with no list built and, as
+        there, no node kept behind the walker's. ``k`` past ``sys.maxsize``
+        raises ``ValueError``."""
+        walker = _elements(self)
+        del self
+        return next(islice(walker, _count(k, "at: index"), None))
 
     def __iter__(self):
         # The generator holds only the node it has reached, so iterating

@@ -83,8 +83,8 @@ class Dif(Analytic):
 
     _derivation = deriv
 
-    def elements(self, n: int) -> list:
-        return self.take(n)
+    # The first n elements as a list: take itself, as Series.coefficients.
+    elements = Analytic.take
 
     # -- arithmetic ------------------------------------------------------
 

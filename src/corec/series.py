@@ -184,9 +184,9 @@ class Series(Analytic):
 
     # -- reading -----------------------------------------------------
 
-    def coefficients(self, n: int) -> list:
-        """The first ``n`` coefficients as a list."""
-        return self.take(n)
+    # The first n coefficients as a list: take itself, so that no frame
+    # between the caller and the walker keeps the first node.
+    coefficients = Analytic.take
 
     # -- pointwise structure -----------------------------------------
 

@@ -19,10 +19,11 @@ hanging. Indices are 0-based throughout.
 from __future__ import annotations
 
 from functools import partial
+from itertools import islice
 from operator import add, mul, neg, sub
 from typing import Callable, Sequence
 
-from .cells import LazyPair, NonProductiveError, pointwise
+from .cells import LazyPair, NonProductiveError, _count, pointwise
 
 __all__ = [
     "Stream",
@@ -118,9 +119,13 @@ def take(n: int, s: Stream) -> list:
 
     Forces no cell beyond index ``n - 1``. A non-productive definition
     surfaces here as :class:`NonProductiveError`, and one nested deeper
-    than the caller's recursion limit as ``RecursionError``.
+    than the caller's recursion limit as ``RecursionError``. As with
+    :meth:`Stream.take`, no node behind the walker's is kept.
     """
-    return s.take(n)
+    # Not s.take(n): this frame would hold s, and so its first node.
+    walker = iter(s)
+    del s
+    return list(islice(walker, _count(n, "take: n")))
 
 
 def repeat(value) -> Stream:

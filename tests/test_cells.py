@@ -11,7 +11,7 @@ from operator import add, sub
 
 import pytest
 
-from corec import cells, dif, series
+from corec import cells, dif, series, stream
 from corec.catalog import partitions
 from corec.cells import NonProductiveError, pointwise
 from corec.dif import Dif, ZERO_TOWER, _Const, damped_sine
@@ -28,6 +28,10 @@ class _Tracked(Stream):
 
 
 class _TrackedSeries(Series):
+    __slots__ = ("__weakref__",)
+
+
+class _TrackedDif(Dif):
     __slots__ = ("__weakref__",)
 
 
@@ -520,6 +524,85 @@ def test_take_and_at_refuse_an_index_that_is_not_an_int():
         s.take(2.5)
     with pytest.raises(TypeError):
         s.at(1.5)
+
+
+# -- a read keeps only its frontier --------------------------------------------
+
+_LONG = 4_000
+_TRACKED = {Stream: _Tracked, Series: _TrackedSeries, Dif: _TrackedDif}
+
+
+def _tracked_then_probed(cls, refs, seen):
+    # A weak-referenceable first node, then a map over an endless run of
+    # ones whose function records each call and looks, at element
+    # _LONG // 2 of the structure, whether that first node is still alive.
+    def probe(x):
+        seen.append(refs[0]() is None if len(seen) == _LONG // 2 - 1 else None)
+        return x
+
+    ones = cls.cons(1, lambda: ones)
+    first = _TRACKED[cls].cons(0, pointwise(cls, None, probe, ones))
+    refs.append(weakref.ref(first))
+    return first
+
+
+@pytest.mark.parametrize("reader", ["take", "at", "coefficients", "elements",
+                                    "stream.take"])
+def test_a_read_of_a_temporary_frees_the_nodes_behind_the_walker(reader):
+    # Each read is called here, on the temporary itself: a wrapper frame
+    # or a C caller in between would hold the first node.
+    refs, seen = [], []
+    if reader == "take":
+        out = _tracked_then_probed(Stream, refs, seen).take(_LONG)
+    elif reader == "at":
+        out = [_tracked_then_probed(Stream, refs, seen).at(_LONG - 1)]
+    elif reader == "coefficients":
+        out = _tracked_then_probed(Series, refs, seen).coefficients(_LONG)
+    elif reader == "elements":
+        out = _tracked_then_probed(Dif, refs, seen).elements(_LONG)
+    else:
+        out = stream.take(_LONG, _tracked_then_probed(Stream, refs, seen))
+    assert out == ([1] if reader == "at" else [0] + [1] * (_LONG - 1))
+    assert len(seen) == _LONG - 1
+    assert seen[_LONG // 2 - 1] is True
+    assert refs[0]() is None
+
+
+@pytest.mark.parametrize("reader", ["take", "at", "coefficients", "elements",
+                                    "stream.take"])
+def test_a_held_structure_keeps_its_first_node_and_its_memo(reader):
+    cls = {"coefficients": Series, "elements": Dif}.get(reader, Stream)
+    read = {"take": lambda s: s.take(_LONG),
+            "at": lambda s: s.at(_LONG - 1),
+            "coefficients": lambda s: s.coefficients(_LONG),
+            "elements": lambda s: s.elements(_LONG),
+            "stream.take": lambda s: stream.take(_LONG, s)}[reader]
+    refs, seen = [], []
+    s = _tracked_then_probed(cls, refs, seen)
+    first = read(s)
+    runs = len(seen)
+    assert runs == _LONG - 1 and seen[_LONG // 2 - 1] is False
+    # The second read runs the op no more times: every cell is memoized.
+    assert read(s) == first
+    assert len(seen) == runs
+    assert refs[0]() is s
+
+
+def test_a_far_read_of_a_temporary_stays_under_a_memory_cap():
+    # Kept nodes would take about 200 MB for 2,000,000 samples, far past
+    # the 64 MiB of address space allowed beyond what the import mapped.
+    if not os.path.exists("/proc/self/statm"):
+        pytest.skip("needs /proc/self/statm to size the cap")
+    script = ("import math, resource\n"
+              "from corec.dsp import sine\n"
+              "with open('/proc/self/statm') as fh:\n"
+              "    size = int(fh.read().split()[0]) * resource.getpagesize()\n"
+              "cap = size + (64 << 20)\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+              "x = sine(0.001).at(2_000_000)\n"
+              "assert math.isclose(x, math.sin(2_000_001 * 0.001), abs_tol=1e-6)\n")
+    proc = run_python("-c", script)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 # -- only cells knows the node layout ------------------------------------------

@@ -1,6 +1,7 @@
 """The CLI contract, searched for counterexamples: every run ends in exit
 0, 1 or 2, never with a traceback, and exit 2 prints one ``error:`` line.
-An ``audio`` run that fails leaves no file behind.
+``lambertw`` and ``wkb`` print nothing on stdout when they fail, and an
+``audio`` run that fails leaves no file behind.
 
 Each case runs in-process through ``cli.main``, one call at a time. A
 count between about 10^4 and ``sys.maxsize`` runs for a very long time, so
@@ -24,6 +25,9 @@ from corec import cli  # noqa: E402
 _SMALL = st.integers(-3, 8).map(str)
 _PAST = st.sampled_from([sys.maxsize, sys.maxsize + 1]).map(str)
 _TEXT = st.text(alphabet="abnx", min_size=1, max_size=3)
+# A count that a command refuses before it reads: sys.maxsize itself would
+# be read for ever where the output streams (series) or is built (wkb).
+_BEYOND = st.sampled_from([sys.maxsize + 1, 10 ** 30]).map(str)
 
 
 def _main(argv):
@@ -36,16 +40,55 @@ def _main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _ends_cleanly(code, err):
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(name=st.sampled_from(cli._SERIES_NAMES),
+       n=st.one_of(st.integers(-3, 40).map(str), _BEYOND, _TEXT),
+       csv=st.booleans())
+def test_series_ends_in_n_lines_or_one_error_line(name, n, csv):
+    code, out, err = _main(["series", name, "--n", n] + ["--csv"] * csv)
+    _ends_cleanly(code, err)
+    if code == 0:
+        assert len(out.splitlines()) == int(n) + csv
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.one_of(st.integers(-3, 150).map(str), _BEYOND, _TEXT))
+def test_lambertw_ends_in_n_lines_or_one_error_line_alone(n):
+    code, out, err = _main(["lambertw", "--n", n])
+    _ends_cleanly(code, err)
+    if code == 0:
+        assert len(out.splitlines()) == int(n)
+    else:
+        assert out == ""
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(x0=st.sampled_from(["0", "-0.0", "-1", "-1e-300", "-inf", "nan", "inf",
+                           "1e308", "5e-324", "0.7", "1.3", "2", "x"]),
+       orders=st.one_of(_SMALL, _BEYOND, _TEXT))
+def test_wkb_ends_in_rows_or_one_error_line_alone(x0, orders):
+    code, out, err = _main(["wkb", "--x0=" + x0, "--orders=" + orders])
+    _ends_cleanly(code, err)
+    if code == 0:
+        assert len(out.splitlines()) == int(orders) + 1
+    else:
+        assert out == ""
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(g=st.one_of(_SMALL, st.sampled_from(["100000", str(10 ** 18)]), _PAST,
                    _TEXT),
        order=st.one_of(_SMALL, _PAST, _TEXT))
 def test_qft_ends_in_rows_or_one_error_line(g, order):
     code, out, err = _main(["qft", "--g", g, "--order", order])
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err
-    if code == 2:
-        assert err.count("\n") == 1 and err.startswith("error: ")
+    _ends_cleanly(code, err)
     if code == 0:
         assert len(out.splitlines()) == int(order) + 2
 
@@ -80,10 +123,7 @@ def test_audio_ends_in_a_file_or_one_error_line_and_no_file(kind, length, rate, 
                                 "--rate=" + rate, "--dur=" + dur, "--freq=" + freq,
                                 "--m=" + m, "--b=" + b])
         left = os.listdir(directory)
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err
-    if code == 2:
-        assert err.count("\n") == 1 and err.startswith("error: ")
+    _ends_cleanly(code, err)
     if code == 0:
         assert left == ["x.wav"] and out.startswith("wrote %s (" % target)
     else:
