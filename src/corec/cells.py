@@ -87,9 +87,8 @@ only exception: ``ZERO`` and the tower constants (``Dif.const``,
 ``ZERO_TOWER``) are subclasses built by :meth:`LazyPair.cons` that share
 one all-zero tail and override ``_define``, so that a function of a
 constant stays compact. Outside this module, only the self-tails of
-``ZERO`` and ``ZERO_TOWER`` write a slot, and ``series._passing``, the one
-rule that runs at every node of its run, builds its node inline as the
-machine does; ``tests/test_cells.py`` checks this.
+``ZERO`` and ``ZERO_TOWER`` write a slot; ``tests/test_cells.py`` checks
+this.
 
 ``take``, ``at`` and iteration read through one walker: ``n`` elements
 force ``n`` heads and ``n - 1`` tails, never a cell past the last element

@@ -226,11 +226,11 @@ def _run_audio(args) -> None:
     # The rate is checked first because the generators divide by it.
     if args.rate <= 0:
         raise ValueError("write_wav: rate must be > 0")
-    from .dsp import write_wav
+    from .dsp import _frames, write_wav
 
     path = write_wav(args.out, args.rate, _audio_stream(args), args.dur)
-    frames = int(args.rate * args.dur)
-    print("wrote %s (%d frames at %d Hz)" % (path, frames, args.rate))
+    print("wrote %s (%d frames at %d Hz)"
+          % (path, _frames(args.rate, args.dur), args.rate))
 
 
 _RUNNERS = {

@@ -4,9 +4,9 @@ A sound here is just an infinite stream of float64 samples, nominally in
 [-1, 1]; every generator and filter below is a direct transcription of its
 defining recurrence into a self-referential stream. A step of a recurrence
 is one ``zip_with`` of its taps, so it costs one stream node per sample
-rather than one per operator; vibrato steps one stream of its two state
-variables, and maps it to its output. Quantization happens only when
-writing a file.
+rather than one per operator; the Euler oscillator and vibrato each step
+one stream of their two state variables, and map it to their output.
+Quantization happens only when writing a file.
 
 The noise source is fully bit-specified (splitmix64) so that renders are
 reproducible across platforms and golden-file tests are portable.
@@ -64,22 +64,20 @@ def euler_osc(h: float) -> Stream:
     """Unit-frequency oscillator by the semi-implicit Euler step ``h``.
 
     y_{n+1} = y_n + h v_n and v_{n+1} = v_n - h y_{n+1}; the scheme is
-    stable for small h and the step controls the output frequency. Each
-    update is one ``zip_with`` of the two streams. A NaN or infinite ``h``
-    raises ``ValueError``.
+    stable for small h and the step controls the output frequency. The
+    oscillator is one stream of ``(y, v)`` states, a step one ``map`` of
+    it, and the output maps each state after the first to its ``y``. A
+    NaN or infinite ``h`` raises ``ValueError``.
     """
     _finite_step("euler_osc", h)
 
-    def ahead(a, b):
-        return a + h * b
+    def step(state):
+        y, v = state
+        w = y + h * v
+        return w, v - h * w
 
-    def back(a, b):
-        return a - h * b
-
-    y = cons(0.0, lambda: w)
-    w = defer(lambda: zip_with(ahead, y, u))
-    u = cons(1.0, lambda: zip_with(back, u, w))
-    return y
+    states = cons((0.0, 1.0), lambda: states.map(step))
+    return cons(0.0, lambda: states.tail.map(itemgetter(0)))
 
 
 def vibrato(h: float, mod: Stream) -> Stream:

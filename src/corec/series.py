@@ -48,8 +48,7 @@ from functools import partial
 from operator import add, mul, neg, sub
 from typing import Callable
 
-from .cells import (_FORCED, _OPS, LazyPair, _head, _tail, delayed_run,
-                    pointwise)
+from .cells import _FORCED, LazyPair, _head, _tail, delayed_run, pointwise
 from .coeffs import (
     divide,
     dot,
@@ -523,13 +522,10 @@ def _zip(op, u, v):
 
 def _passing(k, p, op, u, zero):
     # The tail rule of a pass-through node with k zeros left, this one's too.
-    # The next pass-through node is pointwise(Series, ...) inline, as the
-    # forcing machine builds a successor: this rule runs at every node.
+    # Its right operand is ZERO, so the machine calls it at every node; it
+    # returns the next pass-through node, with k - 1 zeros left.
     if k == 1:
         return _zip(op, u, p)
     if u is ZERO:
         return _zip(op, u, Series.delayed(k - 1, p, 0))
-    node = object.__new__(Series)
-    node._hs = node._ts = _OPS
-    node._h = node._t = (op, u, ZERO, partial(_passing, k - 1, p))
-    return node
+    return pointwise(Series, partial(_passing, k - 1, p), op, u, ZERO)

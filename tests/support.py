@@ -1,11 +1,14 @@
 """Helpers shared by the test modules, imported as ``support``.
 
-Running Python on this checkout's sources in a new interpreter, running a
-function on a thread with the CLI's stack and recursion limit, the deep
+Running Python on this checkout's sources in a new interpreter, running
+the CLI in-process, running a function on a thread with the CLI's stack
+and recursion limit, the deep
 definitions that such a thread must read, and the partition-number oracle,
 which uses nothing from corec.
 """
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -27,6 +30,20 @@ def run_python(*args):
     its output captured as text. A nonzero exit is returned, not raised."""
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=python_env(), timeout=60, check=False)
+
+
+def run_cli(argv):
+    """``corec argv`` through ``cli.main`` in this process: the exit code,
+    stdout and stderr. A usage error's ``SystemExit`` gives its code."""
+    from corec import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def on_a_deep_thread(fn):

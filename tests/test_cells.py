@@ -609,14 +609,10 @@ def test_a_far_read_of_a_temporary_stays_under_a_memory_cap():
 
 _SLOTS = {"_hs", "_h", "_ts", "_t"}
 # The stores that the cells docstring names: the self-tails of the two
-# compact zeros, and the node that series._passing builds inline.
+# compact zeros, and nothing else.
 _LAYOUT_EXCEPTIONS = {
     ("dif.py", "<module>", "ZERO_TOWER._t"),
     ("series.py", "<module>", "ZERO._t"),
-    ("series.py", "_passing", "node._hs"),
-    ("series.py", "_passing", "node._ts"),
-    ("series.py", "_passing", "node._h"),
-    ("series.py", "_passing", "node._t"),
 }
 
 

@@ -8,8 +8,6 @@ count between about 10^4 and ``sys.maxsize`` runs for a very long time, so
 counts are drawn small or past ``sys.maxsize``.
 """
 
-import contextlib
-import io
 import os
 import sys
 import tempfile
@@ -22,22 +20,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from corec import cli  # noqa: E402
 
+from support import run_cli  # noqa: E402
+
 _SMALL = st.integers(-3, 8).map(str)
 _PAST = st.sampled_from([sys.maxsize, sys.maxsize + 1]).map(str)
 _TEXT = st.text(alphabet="abnx", min_size=1, max_size=3)
 # A count that a command refuses before it reads: sys.maxsize itself would
 # be read for ever where the output streams (series) or is built (wkb).
 _BEYOND = st.sampled_from([sys.maxsize + 1, 10 ** 30]).map(str)
-
-
-def _main(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
 
 
 def _ends_cleanly(code, err):
@@ -52,7 +42,7 @@ def _ends_cleanly(code, err):
        n=st.one_of(st.integers(-3, 40).map(str), _BEYOND, _TEXT),
        csv=st.booleans())
 def test_series_ends_in_n_lines_or_one_error_line(name, n, csv):
-    code, out, err = _main(["series", name, "--n", n] + ["--csv"] * csv)
+    code, out, err = run_cli(["series", name, "--n", n] + ["--csv"] * csv)
     _ends_cleanly(code, err)
     if code == 0:
         assert len(out.splitlines()) == int(n) + csv
@@ -61,7 +51,7 @@ def test_series_ends_in_n_lines_or_one_error_line(name, n, csv):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(n=st.one_of(st.integers(-3, 150).map(str), _BEYOND, _TEXT))
 def test_lambertw_ends_in_n_lines_or_one_error_line_alone(n):
-    code, out, err = _main(["lambertw", "--n", n])
+    code, out, err = run_cli(["lambertw", "--n", n])
     _ends_cleanly(code, err)
     if code == 0:
         assert len(out.splitlines()) == int(n)
@@ -74,7 +64,7 @@ def test_lambertw_ends_in_n_lines_or_one_error_line_alone(n):
                            "1e308", "5e-324", "0.7", "1.3", "2", "x"]),
        orders=st.one_of(_SMALL, _BEYOND, _TEXT))
 def test_wkb_ends_in_rows_or_one_error_line_alone(x0, orders):
-    code, out, err = _main(["wkb", "--x0=" + x0, "--orders=" + orders])
+    code, out, err = run_cli(["wkb", "--x0=" + x0, "--orders=" + orders])
     _ends_cleanly(code, err)
     if code == 0:
         assert len(out.splitlines()) == int(orders) + 1
@@ -87,7 +77,7 @@ def test_wkb_ends_in_rows_or_one_error_line_alone(x0, orders):
                    _TEXT),
        order=st.one_of(_SMALL, _PAST, _TEXT))
 def test_qft_ends_in_rows_or_one_error_line(g, order):
-    code, out, err = _main(["qft", "--g", g, "--order", order])
+    code, out, err = run_cli(["qft", "--g", g, "--order", order])
     _ends_cleanly(code, err)
     if code == 0:
         assert len(out.splitlines()) == int(order) + 2
@@ -119,9 +109,10 @@ def test_audio_ends_in_a_file_or_one_error_line_and_no_file(kind, length, rate, 
                                                            freq, m, b):
     with tempfile.TemporaryDirectory() as directory:
         target = os.path.join(directory, "x.wav")
-        code, out, err = _main(["audio", kind, "--out", target, "--len=" + length,
-                                "--rate=" + rate, "--dur=" + dur, "--freq=" + freq,
-                                "--m=" + m, "--b=" + b])
+        code, out, err = run_cli(["audio", kind, "--out", target,
+                                  "--len=" + length, "--rate=" + rate,
+                                  "--dur=" + dur, "--freq=" + freq,
+                                  "--m=" + m, "--b=" + b])
         left = os.listdir(directory)
     _ends_cleanly(code, err)
     if code == 0:
