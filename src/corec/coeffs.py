@@ -20,7 +20,6 @@ the order its caller gives, which puts exact terms over one common
 denominator. :func:`divide` is the one exact-division rule: ``int / int``
 is a ``Fraction`` and anything else divides as ``/`` does. Series divided
 by a scalar, :func:`scalar_recip`, integrals and quotients all use it.
-``_HALF``, the exact 1/2, is defined here too.
 """
 
 from __future__ import annotations
@@ -78,9 +77,6 @@ def divide(x, y):
     if isinstance(x, int) and isinstance(y, int):
         return Fraction(x, y)
     return x / y
-
-
-_HALF = Fraction(1, 2)
 
 
 _EXACT_TYPES = {int, Fraction}

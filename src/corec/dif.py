@@ -41,9 +41,9 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from operator import add, mul, neg, sub
 
-from .cells import _head, _tail, pointwise
+from .cells import _head, _Prefix, _tail, pointwise
 from .coeffs import divide, dot, scalar_cos, scalar_exp, scalar_recip, scalar_sin
-from .series import Analytic, Series, ZERO as SERIES_ZERO, _indices, _power, _Prefix
+from .series import Analytic, Series, ZERO as SERIES_ZERO, _indices, _power
 
 __all__ = ["Dif", "ZERO_TOWER", "damped_sine", "lambert_w_tower", "taylor_from_tower"]
 
@@ -182,8 +182,7 @@ class _Const(Dif):
 
 
 #: The all-zero tower (the compact constant 0); its tail is itself.
-ZERO_TOWER = _Const.cons(0, None)
-ZERO_TOWER._t = ZERO_TOWER
+ZERO_TOWER = _Const.fixed(0)
 
 
 def _zero_tower():

@@ -48,7 +48,7 @@ from functools import partial
 from operator import add, mul, neg, sub
 from typing import Callable
 
-from .cells import _FORCED, LazyPair, _head, _tail, delayed_run, pointwise
+from .cells import LazyPair, _head, _Prefix, _tail, delayed_run, pointwise
 from .coeffs import (
     divide,
     dot,
@@ -236,8 +236,8 @@ class Series(Analytic):
         if isinstance(other, Series):
             if self is ZERO or other is ZERO:
                 return ZERO
-            pu = _Prefix(self)
-            pv = pu if other is self else _Prefix(other)
+            pu = _Prefix(self, ZERO)
+            pv = pu if other is self else _Prefix(other, ZERO)
 
             def element(n):
                 # sum_k u_k v_(n-k) over the k where both operands have a
@@ -268,7 +268,7 @@ class Series(Analytic):
                 )
             if self is ZERO:
                 return ZERO
-            pu, pv = _Prefix(self), _Prefix(v)
+            pu, pv = _Prefix(self, ZERO), _Prefix(v, ZERO)
 
             def element(n):
                 # v_0 q_n = u_n - sum_j q_j v_(n-j), subtracted in ascending j
@@ -283,7 +283,7 @@ class Series(Analytic):
                 return pv.length(1) == 1 and pu.length(n + 1) is not None
 
             w = _map(element, _indices(0, done))
-            pq = _Prefix(w)
+            pq = _Prefix(w, ZERO)
             return w
         if not _invertible(other):
             raise ZeroDivisionError("series division by zero")
@@ -364,8 +364,7 @@ class _ZeroSeries(Series):
 
 
 #: The compact all-zero series; its tail is itself.
-ZERO = _ZeroSeries.cons(0, None)
-ZERO._t = ZERO
+ZERO = _ZeroSeries.fixed(0)
 
 
 def sint(constant, u: Series) -> Series:
@@ -416,55 +415,7 @@ def _coeff_derivation(c):
     return c._derivation() if isinstance(c, Analytic) else 0
 
 
-# -- prefix kernels shared with derivative towers -------------------------
-
-class _Prefix:
-    """The elements of a series or tower read so far, each forced once.
-
-    It also learns where the operand reaches the compact :data:`ZERO`,
-    from the operand's tails; derivative towers never reach it.
-    """
-
-    __slots__ = ("_node", "_values", "_end", "_far", "_reach")
-
-    def __init__(self, node):
-        self._node = node    # the node of the last element read, or the first
-        self._values = []
-        self._end = None
-        self._far = node     # the furthest node reached, at position _reach
-        self._reach = 0
-
-    def upto(self, n):
-        """The list of elements 0..n: shorter if the operand ends first,
-        longer if more were read before."""
-        values, node = self._values, self._node
-        while len(values) <= n and len(values) != self._end:
-            if values:
-                node = node._t if node._ts == _FORCED else _tail(node)
-                if node is ZERO:
-                    self._end = len(values)
-                    break
-            values.append(node._h if node._hs == _FORCED else _head(node))
-            self._node = node
-        if len(values) > self._reach + 1:
-            self._far, self._reach = self._node, len(values) - 1
-        return values
-
-    def length(self, limit):
-        """The number of nodes before ZERO if it is at most ``limit``, else
-        None. This forces tails up to the node at position ``limit``, never
-        an element."""
-        node, k = self._far, self._reach
-        while self._end is None and k < limit:
-            node = node._t if node._ts == _FORCED else _tail(node)
-            k += 1
-            if node is ZERO:
-                self._end = k
-            else:
-                self._far, self._reach = node, k
-        end = self._end
-        return end if end is not None and end <= limit else None
-
+# -- the index series, shared with derivative towers -----------------------
 
 def _indices(n, done=None, cls=Series):
     # The cls nodes n, n + 1, ...; each tail builds the next node when read.

@@ -27,9 +27,9 @@ point as its input.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple
 
-from .coeffs import _HALF
 from .dif import Dif
 from .series import Series, _coeff_derivation, _rows
 
@@ -70,7 +70,7 @@ def wkb_expand(s0_prime: Dif, orders: int) -> WkbResult:
 
     # -1/2 in the domain of S0': a Fraction keeps exact input exact, and a
     # float keeps float towers off Fraction's arithmetic, which runs in Python.
-    half = -0.5 if isinstance(s0_prime.value, float) else -_HALF
+    half = -0.5 if isinstance(s0_prime.value, float) else -Fraction(1, 2)
     u = Series.defer(
         lambda: Series.cons(s0_prime, lambda: v_prime).log().scale(half)
     )

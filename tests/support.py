@@ -3,8 +3,9 @@
 Running Python on this checkout's sources in a new interpreter, running
 the CLI in-process, running a function on a thread with the CLI's stack
 and recursion limit, the deep
-definitions that such a thread must read, and the partition-number oracle,
-which uses nothing from corec.
+definitions that such a thread must read, the damped sine tower written
+with the public operators, and the partition-number oracle, which uses
+nothing from corec.
 """
 
 import contextlib
@@ -94,6 +95,21 @@ def deep_chains(depth):
     Forcing either nests a few frames per level."""
     q, u = deep_structures(depth)
     return q.head, u.take(2)
+
+
+def damped_sine_with_operators(x):
+    """The tower of sin(x) exp(-x) for a variable tower ``x``, as
+    ``corec.dif.damped_sine`` defines it but written with the public
+    operators: q - p is one node and -p - q two, a negation and a
+    difference."""
+    from corec.coeffs import scalar_cos, scalar_exp, scalar_sin
+    from corec.dif import Dif
+
+    x0 = x.value
+    decay = scalar_exp(-x0)
+    p = Dif.cons(scalar_sin(x0) * decay, lambda: q - p)
+    q = Dif.cons(scalar_cos(x0) * decay, lambda: -p - q)
+    return p
 
 
 def pentagonal_partitions(limit):

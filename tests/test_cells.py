@@ -4,6 +4,7 @@ import ast
 import cmath
 import os
 import sys
+import threading
 import weakref
 from fractions import Fraction
 from math import factorial
@@ -13,13 +14,13 @@ import pytest
 
 from corec import cells, dif, series, stream
 from corec.catalog import partitions
-from corec.cells import NonProductiveError, pointwise
+from corec.cells import NonProductiveError, _Prefix, pointwise
 from corec.dif import Dif, ZERO_TOWER, _Const, damped_sine
-from corec.series import Series, ZERO, _Prefix
+from corec.series import Series, ZERO
 from corec.stream import Stream, defer, repeat, zip_with
 
-from support import (deep_chains, on_a_deep_thread, pentagonal_partitions,
-                     run_python)
+from support import (damped_sine_with_operators, deep_chains, on_a_deep_thread,
+                     pentagonal_partitions, run_python)
 
 
 class _Tracked(Stream):
@@ -147,8 +148,8 @@ def test_tails_read_first_build_successors_without_a_call(monkeypatch):
     calls = _built_at_the_tail(monkeypatch)
     u = Series.from_list([0, 1]).exp()
     v = Series.from_list([0, 2]).exp()
-    total = _Prefix(u + v).upto(200)
-    product = _Prefix((u + v) * (u - v)).upto(200)
+    total = _Prefix(u + v, ZERO).upto(200)
+    product = _Prefix((u + v) * (u - v), ZERO).upto(200)
     # exp(x) + exp(2x), and exp(2x) - exp(4x).
     assert total == [Fraction(1 + 2 ** n, factorial(n)) for n in range(201)]
     assert product == [Fraction(2 ** n - 4 ** n, factorial(n))
@@ -160,10 +161,34 @@ def test_partitions_read_tails_first(monkeypatch):
     # Each member of partitions() is a sum that passes the series through
     # a shift, read here by tails first; both paths build their successors.
     calls = _built_at_the_tail(monkeypatch)
-    values = _Prefix(partitions()).upto(300)
+    values = _Prefix(partitions(), ZERO).upto(300)
     assert values == pentagonal_partitions(300)
     assert all(type(v) is int for v in values)
     assert calls == []
+
+
+def _built_at_the_head(node, n):
+    # How many of the first n nodes have their successor built, their tail
+    # forced, once their head has been read and before their tail is.
+    built = 0
+    for _ in range(n):
+        node.head
+        built += node._ts == cells._FORCED
+        node = node.tail
+    return built
+
+
+def test_head_builds_the_successors_of_rule_bearing_recurrences():
+    # Both recurrences are made of nodes that carry a tail rule, whose
+    # operand tails are forced before their heads are: .head builds the
+    # successor, so the reader's .tail finds it. Only the first node, whose
+    # tail is a thunk, and the second, with an operand whose tail still is,
+    # leave it to .tail.
+    p = damped_sine_with_operators(Dif.var(0.4))
+    a = Series.cons(1, lambda: a + b)
+    b = Series.cons(1, lambda: a)
+    assert _built_at_the_head(p, 500) >= 498
+    assert _built_at_the_head(a, 500) >= 498
 
 
 def test_the_machine_builds_a_sum_of_infinite_series_successors(monkeypatch):
@@ -445,6 +470,33 @@ def test_message_names_a_thunk_node():
     assert _where("thunk-node") in _non_productive_message(s)
 
 
+def test_a_read_while_another_thread_forces_the_node_says_so():
+    started, release = threading.Event(), threading.Event()
+    outcome = {}
+
+    def slow():  # forced-on-a-thread
+        started.set()
+        assert release.wait(30)
+        return repeat(7)
+
+    s = defer(slow)
+    worker = threading.Thread(target=lambda: outcome.update(value=s.head))
+    worker.start()
+    try:
+        assert started.wait(30)
+        with pytest.raises(RuntimeError) as info:
+            s.head
+    finally:
+        release.set()
+        worker.join(30)
+    assert type(info.value) is RuntimeError
+    message = str(info.value)
+    assert "is being forced by another thread" in message
+    assert _where("forced-on-a-thread") in message
+    assert outcome == {"value": 7}
+    assert s.head == 7
+
+
 def test_failed_forcing_can_be_retried():
     calls = []
 
@@ -607,31 +659,30 @@ def test_a_far_read_of_a_temporary_stays_under_a_memory_cap():
 
 # -- only cells knows the node layout ------------------------------------------
 
-_SLOTS = {"_hs", "_h", "_ts", "_t"}
-# The stores that the cells docstring names: the self-tails of the two
-# compact zeros, and nothing else.
-_LAYOUT_EXCEPTIONS = {
-    ("dif.py", "<module>", "ZERO_TOWER._t"),
-    ("series.py", "<module>", "ZERO._t"),
-}
+# A node's slots and the states of its cells.
+_LAYOUT = {"_hs", "_h", "_ts", "_t", "_THUNK", "_FORCING", "_FORCED", "_OPS"}
 
 
-def _slot_stores(path):
-    # (file, enclosing function, target) of each store or delete of a slot,
-    # whether by assignment or by setattr/delattr with the name spelt out.
+def _layout_uses(path):
+    # (file, enclosing function, code) of each read, store or delete of a
+    # slot or state, whether as an attribute, by getattr, setattr, delattr
+    # or hasattr with the name spelt out, or by a from-import.
     found = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        slot = None
-        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
-            slot = node.attr
+        names = ()
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
         elif (isinstance(node, ast.Call) and len(node.args) > 1
               and isinstance(node.args[1], ast.Constant)
-              and ast.unparse(node.func).strip("_").endswith(("setattr", "delattr"))):
-            slot = node.args[1].value
-        if slot in _SLOTS:
+              and ast.unparse(node.func).strip("_").endswith(
+                  ("getattr", "getattribute", "setattr", "delattr", "hasattr"))):
+            names = [node.args[1].value]
+        if _LAYOUT.intersection(names):
             found.append((os.path.basename(path), where, ast.unparse(node)))
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -641,19 +692,22 @@ def _slot_stores(path):
     return found
 
 
-def test_only_cells_stores_into_a_node_s_slots():
+def test_only_cells_reads_or_stores_a_node_s_slots():
     package = os.path.dirname(cells.__file__)
-    stores = [store for name in sorted(os.listdir(package))
-              if name.endswith(".py") and name != "cells.py"
-              for store in _slot_stores(os.path.join(package, name))]
-    assert set(stores) <= _LAYOUT_EXCEPTIONS, sorted(set(stores) - _LAYOUT_EXCEPTIONS)
-    # The walk sees the stores it allows, so it is not blind.
-    assert set(stores) == _LAYOUT_EXCEPTIONS
+    uses = [use for name in sorted(os.listdir(package))
+            if name.endswith(".py") and name != "cells.py"
+            for use in _layout_uses(os.path.join(package, name))]
+    assert uses == []
+    # The walk is not blind: it finds the layout where it lives.
+    assert len(_layout_uses(cells.__file__)) > 50
 
 
-def test_the_layout_check_sees_every_kind_of_store(tmp_path):
+def test_the_layout_check_sees_every_kind_of_use(tmp_path):
     path = tmp_path / "m.py"
-    path.write_text("def f(n):\n    n._h = 1\n    n._t += 1\n    del n._hs\n"
+    path.write_text("from .cells import _FORCED\n"
+                    "def f(n):\n    n._h = 1\n    n._t += 1\n    del n._hs\n"
                     "    setattr(n, '_ts', 0)\n    object.__setattr__(n, '_h', 0)\n"
-                    "    n.head = n._h\n")
-    assert [where for _, where, _ in _slot_stores(str(path))] == ["f"] * 5
+                    "    n.head = n._h\n    return getattr(n, '_t') or n.head\n"
+                    "def g(n):\n    return n._ts == cells._OPS\n")
+    assert [where for _, where, _ in _layout_uses(str(path))] == (
+        ["<module>"] + ["f"] * 7 + ["g"] * 2)

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from corec.coeffs import scalar_cos, scalar_exp, scalar_sin
 from corec.dif import (
     Dif,
     ZERO_TOWER,
@@ -15,6 +14,8 @@ from corec.dif import (
     taylor_from_tower,
 )
 from corec.series import Series
+
+from support import damped_sine_with_operators
 
 
 def close(xs, ys, tol=1e-9):
@@ -295,31 +296,21 @@ def test_damped_sine_at_zero():
     assert close(damped_sine(Dif.var(0.0)).elements(3), [0, 1, -2], 1e-15)
 
 
-def _damped_sine_with_operators(x):
-    # The same pair written with the public operators: q - p is one node
-    # and -p - q two, a negation and a difference.
-    x0 = x.value
-    decay = scalar_exp(-x0)
-    p = Dif.cons(scalar_sin(x0) * decay, lambda: q - p)
-    q = Dif.cons(scalar_cos(x0) * decay, lambda: -p - q)
-    return p
-
-
 @pytest.mark.parametrize("x0", [0.0, -0.0, 0.3, 1.1, -2.5])
 def test_damped_sine_is_bit_identical_to_the_operators(x0):
     # repr tells -0.0 from 0.0, and every float digit.
     fast = damped_sine(Dif.var(x0)).take(2000)
-    slow = _damped_sine_with_operators(Dif.var(x0)).take(2000)
+    slow = damped_sine_with_operators(Dif.var(x0)).take(2000)
     assert list(map(repr, fast)) == list(map(repr, slow))
 
 
 def test_damped_sine_of_exact_input():
     fast = damped_sine(Dif.var(0)).take(60)
-    assert fast == _damped_sine_with_operators(Dif.var(0)).take(60)
+    assert fast == damped_sine_with_operators(Dif.var(0)).take(60)
     assert fast[:8] == [0, 1, -2, 2, 0, -4, 8, -8]
     assert all(type(v) is int for v in fast)
     # exp(-1/3) is irrational, so an exact 1/3 is refused at the call.
-    for build in (damped_sine, _damped_sine_with_operators):
+    for build in (damped_sine, damped_sine_with_operators):
         with pytest.raises(ValueError, match="^exp of an exact value other "
                            "than 0 is irrational$"):
             build(Dif.var(Fraction(1, 3)))
