@@ -14,7 +14,11 @@ every supported coefficient domain.
 
 Multiplication is the Cauchy product: coefficient n of ``u * v`` is
 ``sum_k u_k v_(n-k)``, computed from the memoized prefixes of the operands
-and summed from the highest k down. Division solves the same sum for its
+and summed from the highest k down. A square ``u * u`` whose values are
+exact, or are series, sums each pair once: ``s + s``, s over k > n - k,
+plus ``u_(n/2)^2`` for an even n. Floats, towers and mixed values keep the
+general fold: doubling a rounded half-sum doubles its error, where the
+fold rounds the two halves apart. Division solves the same sum for its
 own coefficient, ``q_n = (u_n - sum_(j<n) q_j v_(n-j)) / v_0``, which needs
 an invertible leading coefficient and never cancels powers of x. Either is
 a pointwise node that maps its element function over the series of indices
@@ -50,6 +54,7 @@ from typing import Callable
 
 from .cells import LazyPair, _head, _Prefix, _tail, delayed_run, pointwise
 from .coeffs import (
+    _EXACT_TYPES,
     divide,
     dot,
     scalar_asin,
@@ -246,12 +251,33 @@ class Series(Analytic):
                 lo, hi = max(0, n + 1 - len(y)), min(n, len(x) - 1)
                 return dot(x[lo:hi + 1][::-1], y[n - hi:n - lo + 1])
 
+            def square(n):
+                # Over exact values or series, each pair k > n - k once:
+                # s + s, plus u_(n/2)^2 for an even n. Other values take the
+                # fold of element, which rounds the two halves apart.
+                x = pu.upto(n)
+                hi = min(n, len(x) - 1)
+                lo, half = n - hi, n // 2
+                values = x[lo:hi + 1]
+                kinds = set(map(type, values))
+                if not (kinds <= _EXACT_TYPES
+                        or all(issubclass(k, Series) for k in kinds)):
+                    return dot(values[::-1], values)
+                total = None
+                if hi > half:
+                    s = dot(x[hi:half:-1], x[lo:n - half])
+                    total = s + s
+                if not n & 1:
+                    middle = x[half] * x[half]
+                    total = middle if total is None else total + middle
+                return total
+
             def done(n):
                 # u*v ends after n once len(u) + len(v) <= n + 2
                 lu = pu.length(n + 1)
                 return lu is not None and pv.length(n + 2 - lu) is not None
 
-            return _map(element, _indices(0, done))
+            return _map(square if pv is pu else element, _indices(0, done))
         return self.scale(other)
 
     def __rmul__(self, other):

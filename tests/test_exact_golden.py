@@ -131,6 +131,15 @@ def _cases():
     yield "var(1) / const(0)", 3, lambda: Dif.var(1) / Dif.const(0)
     yield "1 / var(0)", 3, lambda: 1 / Dif.var(0)
     yield "taylor of ZERO_TOWER", 3, lambda: taylor_from_tower(ZERO_TOWER)
+    # Squares: a series times itself, directly or inside a definition.
+    yield "greens(2, 40)", 41, lambda: greens(2, 40)
+    yield ("partitions() * partitions()", 30,
+           lambda: (lambda s: s * s)(partitions()))
+    yield "(x e^x) ** 4", 12, lambda: (_poly("c") * _poly("c").exp()) ** 4
+    yield ("(x + x^2/3).atan()", 12,
+           lambda: Series.from_list([0, 1, F(1, 3)]).atan())
+    yield ("(1 + x + x^2/3).recip()", 12,
+           lambda: Series.from_list([1, 1, F(1, 3)]).recip())
 
 
 def _line(label, n, make):

@@ -9,9 +9,11 @@ from fractions import Fraction
 
 import pytest
 
-from corec.catalog import partitions
-from corec.cells import NonProductiveError
+from corec.catalog import bessel_series, partitions
+from corec.cells import LazyPair, NonProductiveError
+from corec.qft import dyson_schwinger
 from corec.series import Series, ZERO
+from corec.wkb import airy_s0_prime, wkb_expand
 
 hypothesis = pytest.importorskip("hypothesis")
 
@@ -290,6 +292,18 @@ def test_polynomial_ends_are_found_from_tails_alone(a, b):
     assert forced == []
 
 
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(a=st.lists(exacts, min_size=1, max_size=6))
+def test_a_polynomial_square_ends_where_the_general_product_does(a):
+    forced = []
+    u = _counted_polynomial(a, forced)
+    v, w = _counted_polynomial(a, forced), _counted_polynomial(a, forced)
+    assert _tails_before_zero(u * u) == _tails_before_zero(v * w) == 2 * len(a) - 1
+    assert forced == []
+    s = Series.from_list(a)
+    assert _nodes_before_zero(s * s) == 2 * len(a) - 1
+
+
 def test_tails_of_a_product_of_two_polynomials_reach_zero():
     p = Series.from_list([1, 2]) * Series.from_list([3, 4, 5])
     for _ in range(4):
@@ -337,6 +351,109 @@ def test_element_n_forces_no_operand_element_beyond_n(n, op):
         w = w.tail
     w.head
     assert max(fu + fv) <= n
+
+
+# -- squares: u * u against u * w, w a distinct copy of u ----------------------
+
+def _copies(values):
+    """A constructor of equal series: a polynomial or an infinite one."""
+    return st.one_of(
+        st.lists(values, min_size=1, max_size=N).map(
+            lambda xs: lambda: Series.from_list(xs)),
+        st.tuples(st.lists(values, max_size=4),
+                  st.lists(values, min_size=1, max_size=4)).map(
+            lambda pc: lambda: _infinite(*pc)),
+    )
+
+
+def _bits(value, n=6):
+    # The type and the value; a float bit for bit, a tower or an inner series
+    # by its first n elements.
+    if isinstance(value, float):
+        return float.hex(value)
+    if isinstance(value, LazyPair):
+        return type(value).__name__, [_bits(v) for v in value.take(n)]
+    return type(value).__name__, repr(value)
+
+
+def _read(s, n):
+    return [_bits(c) for c in s.take(n)], repr(s)
+
+
+def _square_and_product(make):
+    # u * u and v * w, for three series built by one constructor
+    u, v, w = make(), make(), make()
+    return _read(u * u, N), _read(v * w, N)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(make=_copies(exacts))
+def test_exact_squares_match_the_product_of_two_copies(make):
+    square, product = _square_and_product(make)
+    assert square == product
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(make=_copies(st.one_of(floats, st.just(-0.0), ints)))
+def test_float_and_mixed_squares_are_the_general_fold_bit_for_bit(make):
+    square, product = _square_and_product(make)
+    assert square == product
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Series.from_list([1, 2, 3, -4]),
+    lambda: Series.from_list([Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)]),
+    lambda: Series.from_list([1, Fraction(1, 2), 0, 3, Fraction(-1, 9)]),
+    lambda: Series.from_list([0, 1]).exp(),
+    partitions,
+    bessel_series,
+    lambda: Series.from_list([1.3, 0.7, -0.2, 0.11]),
+    lambda: Series.from_list([1.3, 0.7, -0.2, 0.11]).recip(),
+    lambda: Series.from_list([1, 0.5, 2]),
+    lambda: wkb_expand(airy_s0_prime(1.3), 4).u,
+], ids=["int", "fraction", "int-and-fraction", "exp", "partitions", "bessel",
+        "float", "float-recip", "int-and-float", "towers"])
+def test_squares_are_the_product_of_two_copies(make):
+    # Exact values keep their types and reprs; floats, towers and mixed
+    # values are the general fold, bit for bit.
+    square, product = _square_and_product(make)
+    assert square == product
+
+
+def _counting_products(monkeypatch):
+    # Every product of two series built from now on, counted as it is built.
+    calls = []
+    mul = Series.__mul__
+
+    def counted(self, other):
+        if isinstance(other, Series):
+            calls.append(self is other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Series, "__mul__", counted)
+    return calls
+
+
+def test_a_square_of_a_series_of_series_builds_half_the_inner_products(
+        monkeypatch):
+    # Coefficient k + 1 of c = J + t (c' + c^2) reads coefficient k of the
+    # square c * c: one product a pair of inner series, and one inner square
+    # for the middle term of an even k. The leading 1 is c * c itself.
+    calls = _counting_products(monkeypatch)
+    dyson_schwinger().take(12)
+    assert len(calls) == 1 + sum(k // 2 + 1 for k in range(11)) == 37
+    assert calls.count(True) == 1 + 6
+    # Over the same prefix, a product of two distinct copies builds one
+    # inner product for each k.
+    phi, copy = dyson_schwinger(), dyson_schwinger()
+    phi.take(12)
+    copy.take(12)
+    calls.clear()
+    (phi * copy).take(11)
+    assert len(calls) == 1 + sum(k + 1 for k in range(11)) == 67
+    calls.clear()
+    (phi * phi).take(11)
+    assert len(calls) == 37
 
 
 # -- self-referential definitions through the product and quotient ----------
