@@ -127,7 +127,10 @@ def _write(columns, names=None, flush=False) -> None:
     values on each line. An error while iterating ends the output there;
     the lines already printed stay. A pipe buffers standard output in
     blocks; with ``flush`` each line is flushed, so that it reaches the
-    reader before the next row is computed.
+    reader before the next row is computed. Only ``qft``, whose rows each
+    cost more than the last, asks for it: a flush is a write call a line,
+    and ``series integs --n 1000000`` into a pipe takes 2-3 times as long
+    flushed.
     """
     if names:
         print(",".join(("index",) + names))

@@ -56,7 +56,7 @@ def sine(h: float) -> Stream:
     def step(y1, y0):
         return k * y1 - y0
 
-    y = cons(math.sin(h), lambda: zip_with(step, y, cons(0.0, lambda: y)))
+    y = cons(math.sin(h), lambda: zip_with(step, y, delay(1, y, 0.0)))
     return y
 
 
@@ -66,8 +66,8 @@ def euler_osc(h: float) -> Stream:
     y_{n+1} = y_n + h v_n and v_{n+1} = v_n - h y_{n+1}; the scheme is
     stable for small h and the step controls the output frequency. The
     oscillator is one stream of ``(y, v)`` states, a step one ``map`` of
-    it, and the output maps each state after the first to its ``y``. A
-    NaN or infinite ``h`` raises ``ValueError``.
+    it, and the output maps each state to its ``y``. A NaN or infinite
+    ``h`` raises ``ValueError``.
     """
     _finite_step("euler_osc", h)
 
@@ -77,7 +77,7 @@ def euler_osc(h: float) -> Stream:
         return w, v - h * w
 
     states = cons((0.0, 1.0), lambda: states.map(step))
-    return cons(0.0, lambda: states.tail.map(itemgetter(0)))
+    return states.map(itemgetter(0))
 
 
 def vibrato(h: float, mod: Stream) -> Stream:
@@ -125,7 +125,7 @@ def karplus_strong(length: int, excitation: Sequence[float],
 
     y = defer(lambda: prepend(
         excitation,
-        zip_with(average, y, cons(0.0, lambda: y)),
+        zip_with(average, y, delay(1, y, 0.0)),
     ))
     return y
 

@@ -37,8 +37,9 @@ so the end is found even when only the result's tails are walked. The
 index series asks this in the thunk of its own tail, so only reading the
 result's tail walks the operands. The elementary functions are defined by
 their integral equations, e.g. ``W = exp U`` satisfies ``W = exp(u0) +
-integral(W * U')``. Equality of series is deliberately not an operation;
-tests and callers compare finite coefficient windows.
+integral(W * U')``; a reciprocal is the quotient ``1 / U``. Equality of
+series is deliberately not an operation; tests and callers compare finite
+coefficient windows.
 
 The elementary functions live on :class:`Analytic`, the base class that
 series share with derivative towers (:class:`corec.dif.Dif`): both are
@@ -99,10 +100,12 @@ class Analytic(LazyPair):
 
     Each function of ``a`` is the w whose value is the scalar function of
     the value of ``a`` and whose derivative is an expression in a' and w;
-    ``exp a`` is the w with w' = a' * w. A subclass supplies its derivation
-    ``_derivation()`` and ``_solve(value, derivative)``, which builds w
-    from its value and a thunk for w'. A compact constant (``ZERO``, a
-    tower constant) overrides ``_define`` to map only the value.
+    ``exp a`` is the w with w' = a' * w. The reciprocal has no equation of
+    its own: it is the quotient ``1 / a``, by the subclass's division. A
+    subclass supplies its derivation ``_derivation()`` and ``_solve(value,
+    derivative)``, which builds w from its value and a thunk for w'. A
+    compact constant (``ZERO``, a tower constant) overrides ``_define`` to
+    map only the value.
     """
 
     __slots__ = ()
@@ -143,9 +146,10 @@ class Analytic(LazyPair):
                             lambda da, w: da / (1 - self * self).sqrt())
 
     def recip(self):
-        """Multiplicative inverse; the value must be invertible."""
-        return self._define(scalar_recip(self.head),
-                            lambda da, w: -(da * (w * w)))
+        """Multiplicative inverse, the quotient ``1 / self``; the value
+        must be invertible."""
+        scalar_recip(self.head)  # a zero value is refused by recip's name
+        return 1 / self
 
     def sin(self):
         return _sin_cos(self)[0]

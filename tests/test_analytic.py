@@ -104,10 +104,50 @@ def test_series_pow_of_tower_coefficients_matches_sqrt():
             assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
 
 
+def _key(c, n):
+    # A coefficient by type and value, floats bit for bit, a tower by its
+    # first n elements.
+    if isinstance(c, Dif):
+        return "Dif", [_key(e, n) for e in c.elements(n)]
+    return type(c).__name__, c.hex() if type(c) is float else repr(c)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Series.from_list([1, 2, 3]),
+    lambda: Series.from_list([2]),
+    lambda: Series.from_list([1, -1]),
+    lambda: Series.from_list([Fraction(1, 2), -1]),
+    lambda: Series.from_list([Fraction(3, 4), 0, Fraction(-2, 5), 1]),
+    lambda: Series.from_list([1.3, 0.7, -0.2, 0.11]),
+    lambda: Series.from_list([2.0]),
+    lambda: Series.from_list([0.5, 1.5, -2.25]),
+    lambda: Series.from_list([0, 1]).exp() + 0.25,
+    lambda: Dif.var(2.0),
+    lambda: Dif.var(Fraction(1, 2)),
+    lambda: Dif.var(1.3).exp(),
+    lambda: (lambda x: 1 + x + x * x / 3)(Dif.var(0.7)),
+    lambda: Dif.const(2),
+    lambda: Dif.const(2.0),
+    lambda: Series.from_list([Dif.var(2.0), 1]),
+    lambda: Series.from_list([Dif.var(1.3).exp(), Dif.var(1.3), 0.5]),
+], ids=["int", "int-constant", "int-geometric", "fraction", "fraction-cubic",
+        "float", "float-constant", "float-quadratic", "float-exp",
+        "tower", "tower-exact", "tower-exp", "tower-quadratic",
+        "tower-constant", "tower-float-constant", "series-of-towers",
+        "series-of-towers-exp"])
+def test_recip_is_the_quotient_one_over_u(make):
+    # One algorithm for 1 / u: the same types, reprs and bits, floats too.
+    got, want = make().recip(), 1 / make()
+    assert type(got) is type(want)
+    assert repr(got) == repr(want)
+    assert [_key(c, 6) for c in got.take(16)] == [_key(c, 6) for c in want.take(16)]
+    assert repr(got) == repr(want)
+
+
 def test_a_series_with_a_tower_head_hands_the_head_to_the_tower():
     # The value of each function is the scalar function of the head tower:
-    # recip is the tower's recip, and an int pow is the tower's **, so
-    # u.pow(2) has the values of u * u.
+    # recip is 1 / u, whose value is 1 / head, the tower's recip; an int pow
+    # is the tower's **, so u.pow(2) has the values of u * u.
     head = Series.cons(Dif.var(2.0), ZERO).recip().at(0)
     assert head.elements(3) == [0.5, -0.25, 0.25]
     u = Series.from_list([Dif.var(1.0), 1])

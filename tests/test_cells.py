@@ -470,6 +470,22 @@ def test_message_names_a_thunk_node():
     assert _where("thunk-node") in _non_productive_message(s)
 
 
+def test_a_tail_that_reads_itself_is_non_productive():
+    # A tail thunk that reads its own node's tail closes the cycle at the
+    # tail, not the head; the message names the tail and its definition.
+    s = Stream.cons(1, lambda: s.tail)  # stream-tail-cycle
+    t = Series.cons(1, lambda: t.tail + 1)  # series-tail-cycle
+    thunk = "(test_a_tail_that_reads_itself_is_non_productive.<locals>.<lambda>)"
+    for node, marker in ((s, "stream-tail-cycle"), (t, "series-tail-cycle")):
+        for _ in range(2):
+            with pytest.raises(NonProductiveError) as info:
+                node.tail
+            message = str(info.value)
+            assert "the tail of the node defined at " in message
+            assert "%s %s" % (_where(marker), thunk) in message
+        assert node.head == 1
+
+
 def test_a_read_while_another_thread_forces_the_node_says_so():
     started, release = threading.Event(), threading.Event()
     outcome = {}
